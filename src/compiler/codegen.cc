@@ -919,14 +919,17 @@ class FuncCompiler
         return v >= isa::IMM9_MIN && v <= isa::IMM9_MAX;
     }
 
-    /** Integer binop folding when both sides are compile-time consts. */
+    /** Integer binop folding when both sides are compile-time consts.
+     *  Add/Sub/Mul wrap modulo 2^64 like the ISA's ALU (computed in
+     *  u64: signed overflow would be undefined behaviour). */
     static std::optional<i64>
     foldConsts(WOp op, i64 a, i64 b)
     {
+        const u64 ua = static_cast<u64>(a), ub = static_cast<u64>(b);
         switch (op) {
-          case WOp::Add: return a + b;
-          case WOp::Sub: return a - b;
-          case WOp::Mul: return a * b;
+          case WOp::Add: return static_cast<i64>(ua + ub);
+          case WOp::Sub: return static_cast<i64>(ua - ub);
+          case WOp::Mul: return static_cast<i64>(ua * ub);
           case WOp::And: return a & b;
           case WOp::Or: return a | b;
           case WOp::Xor: return a ^ b;
@@ -1131,10 +1134,14 @@ class FuncCompiler
                     return;
                 }
             }
-            // Sub with constant rhs becomes ADDI of the negation.
-            if (b_const && in.op == WOp::Sub && fitsImm9(-b->cval)) {
+            // Sub with constant rhs becomes ADDI of the negation
+            // (negated in u64: -INT64_MIN wraps to itself, which fails
+            // fitsImm9, instead of being undefined behaviour).
+            const i64 neg_b = b_const
+                ? static_cast<i64>(0 - static_cast<u64>(b->cval)) : 0;
+            if (b_const && in.op == WOp::Sub && fitsImm9(neg_b)) {
                 i32 n = newNode(g, Opcode::ADDI);
-                g.hb.nodes[n].imm = -b->cval;
+                g.hb.nodes[n].imm = neg_b;
                 connect(g, n, 0, a);
                 def(unpredTotal(n, a.total));
                 return;

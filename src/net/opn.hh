@@ -28,143 +28,115 @@ namespace trips::net {
 enum class OpnClass : u8 { EtEt, EtDt, EtRt, EtGt, DtRt, DtEt, RtEt,
                            Other, NUM_CLASSES };
 
-/** Single-flit packet, packed to 16 bytes so four fit a cache line
- *  (the router FIFOs are scanned every simulated cycle). */
+/** Single-flit packet, packed to 8 bytes. */
 struct OpnPacket
 {
     u8 src = 0;               ///< flat mesh node id (row*5+col)
     u8 dst = 0;
     OpnClass cls = OpnClass::Other;
-    u8 hops = 0;
+    u8 hops = 0;              ///< set on delivery (Manhattan distance)
     u32 tag = 0;              ///< owner-defined payload handle
-    Cycle injected = 0;
 };
 
+/**
+ * The router keeps packets in a fixed pool and moves only 16-bit pool
+ * ids between its input FIFOs. Every packet inside the network sits in
+ * exactly one input FIFO (delivery copies it out and frees its slot),
+ * so the pool never needs more than NODES x 5 x FIFO_DEPTH slots.
+ */
 class OpnNetwork
 {
   public:
     static constexpr unsigned NODES = isa::OPN_ROWS * isa::OPN_COLS;
+    static constexpr unsigned PORTS = 5;   ///< N, E, S, W, local
     static constexpr unsigned FIFO_DEPTH = 4;
+    static constexpr unsigned POOL_SLOTS = NODES * PORTS * FIFO_DEPTH;
+    /** Longest Y-then-X route on the mesh (corner to corner). */
+    static constexpr unsigned MAX_HOPS = isa::OPN_ROWS + isa::OPN_COLS - 2;
 
     OpnNetwork();
 
     /**
      * Inject a packet at its source node. Returns false when the
      * node's local input FIFO is full (caller retries next cycle).
-     * Zero-hop (src == dst) packets bypass the network and appear in
-     * the delivery list next tick.
+     * A zero-hop (src == dst) packet is ejected by the next tick.
      */
-    bool inject(OpnPacket pkt, Cycle now);
+    bool inject(OpnPacket pkt);
 
     /** Advance one cycle: route flits, collect deliveries. */
-    void tick(Cycle now);
+    void tick();
 
     /** Packets that arrived this cycle (valid until next tick). */
     const std::vector<OpnPacket> &delivered() const { return arrivals; }
 
-    /** Per-class hop distributions (bucket = hop count). */
-    const Distribution &hopDist(OpnClass c) const
-    {
-        return hop_dist[static_cast<size_t>(c)];
-    }
+    /** Per-class hop distribution (bucket = hop count), folded from
+     *  the raw per-hop counters on each call. */
+    Distribution hopDist(OpnClass c) const;
 
     u64 packetsSent() const { return packets; }
-    double avgLatency() const
-    {
-        return latCount ? static_cast<double>(latSum) / latCount : 0.0;
-    }
 
   private:
     /**
-     * Fixed-capacity input FIFO: router buffers are FIFO_DEPTH deep by
-     * construction, so a bounded ring avoids any steady-state
-     * allocation (unlike a deque, which churns chunks).
+     * Input FIFO of pool ids as a shift register: entry k sits in bits
+     * 16k..16k+15 of @c ids, so a pop is a shift and a push an OR at
+     * the tail. The packets' destinations ride along in @c dsts (8 bits
+     * each), so arbitration reads the head's destination without
+     * touching the pool.
      */
     struct Fifo
     {
-        std::array<OpnPacket, FIFO_DEPTH> buf;
-        u8 head = 0;
-        u8 count = 0;
-
-        bool empty() const { return count == 0; }
-        unsigned size() const { return count; }
-        OpnPacket &front() { return buf[head]; }
-
-        void
-        push_back(const OpnPacket &p)
-        {
-            buf[(head + count) % FIFO_DEPTH] = p;
-            ++count;
-        }
-
-        void
-        pop_front()
-        {
-            head = (head + 1) % FIFO_DEPTH;
-            --count;
-        }
+        u64 ids = 0;
+        u32 dsts = 0;
+        u32 count = 0;
     };
 
-    struct Move
+    /** A granted forward: the input FIFO the flit leaves and the
+     *  downstream FIFO it enters. */
+    struct Grant
     {
-        unsigned node, in_port, out_port;
+        u8 from = 0;
+        u8 to = 0;
     };
 
     static_assert(NODES <= 64, "node occupancy mask is one u64");
+    static_assert(POOL_SLOTS <= 0x10000, "pool ids are 16-bit");
+    static_assert(FIFO_DEPTH * 16 <= 64, "a FIFO's ids fit one u64");
+
+    /** FIFOs indexed (node << 3) | port, a shift rather than a
+     *  multiply, plus a sink slot past the last node that is always
+     *  empty: local ejects "enter" it, so the flow-control test needs
+     *  no branch on the output port (see opn.cc for its index). */
+    static constexpr unsigned FIFO_SLOTS = (NODES + 1) << 3;
+    static_assert(FIFO_SLOTS <= 0x100, "FIFO indices are 8-bit");
+    std::array<Fifo, FIFO_SLOTS> fifos{};
+
+    std::array<OpnPacket, POOL_SLOTS> pool{};
+    std::array<u16, POOL_SLOTS> freeIds{};
+    unsigned freeCount = 0;
 
     /**
-     * Routing metadata mirrored out of the FIFOs: the head packet's
-     * destination and the queue depth per input port. The whole table
-     * is ~250 bytes, so the per-tick arbitration scan stays in a
-     * handful of cache lines and the packet buffers are touched only
-     * when a flit actually moves.
-     */
-    struct PortMeta
-    {
-        u8 size = 0;
-        u8 frontDst = 0;
-    };
-
-    /** Input FIFOs per node per port (0..3 = N,E,S,W, 4 = local). */
-    std::array<std::array<Fifo, 5>, NODES> fifos{};
-    std::array<std::array<PortMeta, 5>, NODES> meta{};
-    std::vector<Move> moves;    ///< per-tick scratch (reused)
-    std::vector<OpnPacket> arrivals;
-
-    /**
-     * Occupancy tracking so tick() touches only routers that hold
-     * flits: one bit per node, plus a per-node bit per input port.
-     * The round-robin arbitration pointer advances uniformly for all
-     * nodes every tick, so a single counter replaces the per-node
-     * array the scan used to maintain.
+     * Occupancy, so tick() touches only routers that hold flits: one
+     * bit per node, plus a per-node bit per input port. Every router's
+     * round-robin pointer advances once per tick, so one counter
+     * (cycling 0..4) stands for all of them.
      */
     u64 nodeMask = 0;
     std::array<u8, NODES> portMask{};
-    u64 ticks = 0;
+    unsigned rrPointer = 0;
 
-    void
-    markOccupied(unsigned node, unsigned port)
-    {
-        portMask[node] |= static_cast<u8>(1u << port);
-        nodeMask |= u64{1} << node;
-    }
+    // Per-tick grant lists (scratch): at most one eject per router and
+    // one forward per router output.
+    std::array<u8, NODES> ejects{};
+    std::array<Grant, NODES * (PORTS - 1)> forwards{};
+    std::vector<OpnPacket> arrivals;
 
-    void
-    updateEmptied(unsigned node, unsigned port)
-    {
-        if (fifos[node][port].empty()) {
-            portMask[node] &= static_cast<u8>(~(1u << port));
-            if (portMask[node] == 0)
-                nodeMask &= ~(u64{1} << node);
-        }
-    }
-    std::array<Distribution, static_cast<size_t>(OpnClass::NUM_CLASSES)>
-        hop_dist;
-    u64 latSum = 0;       ///< integer accumulation: one add per arrival
-    u64 latCount = 0;
+    /** Raw delivery counts per class and hop count. */
+    std::array<std::array<u64, MAX_HOPS + 1>,
+               static_cast<size_t>(OpnClass::NUM_CLASSES)> hopCounts{};
     u64 packets = 0;
 
-    unsigned routePort(unsigned node, unsigned dst) const;
+    void push(unsigned fifo, u16 id, unsigned dst);
+    u16 pop(unsigned fifo);
 };
 
 } // namespace trips::net

@@ -138,6 +138,8 @@ struct NextBlockStats
     u64 targetMispredicts = 0;   ///< right exit, wrong target
     u64 callRetMispredicts = 0;  ///< mispredict on a call or return
 
+    bool operator==(const NextBlockStats &) const = default;
+
     double
     missRate() const
     {

@@ -47,6 +47,14 @@ namespace trips::sim {
  *  engine must not outlive the verification that says so. */
 constexpr const char *SIM_VERSION = "tripsim-sim-3";
 
+/** SHA-256 of `dump_stats --all` stdout, pinned together with
+ *  SIM_VERSION: tests/sim_version_pin.cmake (ctest sim_version_pin,
+ *  label `slow`) fails when the output changes while SIM_VERSION does
+ *  not. After a deliberate model change, bump SIM_VERSION and record
+ *  the new digest here in the same change. */
+constexpr const char *SIM_VERSION_STATS_SHA256 =
+    "c9b8d4193b23897506746f904da6de073854278e55b3f259ab896269409d7f6c";
+
 /** Byte-format version of the cached TripsRun record. */
 constexpr u32 CAMPAIGN_FORMAT = 2;
 constexpr u32 CAMPAIGN_MAGIC = 0x4e525254;  // "TRRN" little-endian

@@ -173,7 +173,10 @@ class SmallVec
         ::operator delete[](p, std::align_val_t{alignof(T)});
     }
 
-    void
+    // Out of line so that push_back stays small enough to inline: the
+    // element is then stored straight from the caller's registers
+    // instead of being built on the stack and copied.
+    [[gnu::noinline]] void
     grow(size_t want)
     {
         size_t cap = cap_;
@@ -189,13 +192,15 @@ class SmallVec
         if (data_ != inlineData())
             releaseHeap(data_);
         data_ = heap;
-        cap_ = cap;
+        cap_ = static_cast<u32>(cap);
     }
 
-    alignas(T) unsigned char store_[N * sizeof(T)];
+    // Metadata ahead of the inline buffer, as in RingQueue: a push to
+    // a short vector touches one cache line, not two.
     T *data_ = reinterpret_cast<T *>(store_);
-    size_t size_ = 0;
-    size_t cap_ = N;
+    u32 size_ = 0;
+    u32 cap_ = N;
+    alignas(T) unsigned char store_[N * sizeof(T)];
 };
 
 /**
@@ -224,16 +229,8 @@ class SlabPool
     Id
     alloc()
     {
-        if (freeHead == NO_FREE) {
-            Id base = static_cast<Id>(slabs.size() * SLAB);
-            slabs.push_back(new Slot[SLAB]);
-            // Thread the fresh slab onto the free list back-to-front so
-            // ids are handed out in ascending order.
-            for (unsigned i = SLAB; i-- > 0;) {
-                slabs.back()[i].nextFree = freeHead;
-                freeHead = base + i;
-            }
-        }
+        if (freeHead == NO_FREE)
+            addSlab();
         Id id = freeHead;
         Slot &s = slot(id);
         freeHead = s.nextFree;
@@ -259,6 +256,20 @@ class SlabPool
 
   private:
     static constexpr Id NO_FREE = ~Id{0};
+
+    /** Out of line (see SmallVec::grow): keeps alloc() inlinable. */
+    [[gnu::noinline]] void
+    addSlab()
+    {
+        Id base = static_cast<Id>(slabs.size() * SLAB);
+        slabs.push_back(new Slot[SLAB]);
+        // Thread the fresh slab onto the free list back-to-front so ids
+        // are handed out in ascending order.
+        for (unsigned i = SLAB; i-- > 0;) {
+            slabs.back()[i].nextFree = freeHead;
+            freeHead = base + i;
+        }
+    }
 
     struct Slot
     {

@@ -132,6 +132,9 @@ class Distribution
     // buckets alone, so it round-trips explicitly.
     u64 weightedSum() const { return weighted_sum; }
 
+    /** Every bucket, the sample count and the weighted sum match. */
+    bool operator==(const Distribution &) const = default;
+
     /** Rebuild from serialized raw state (inverse of the accessors). */
     void
     restoreRaw(std::vector<u64> counts, u64 weighted)

@@ -31,13 +31,15 @@ struct Tok
     u64 v = 0;
 };
 
-/** Per-instruction dynamic state, kept together so one token delivery
- *  (operand write + wake check) stays within a cache line or two. */
+/** Per-instruction dynamic state, packed to 32 bytes so one token
+ *  delivery (operand write + wake check) touches one cache line. */
 struct InstState
 {
-    std::array<Tok, 3> opnd;
+    std::array<u64, 3> v{};     ///< operand values (2 = predicate)
+    std::array<u8, 3> st{};     ///< TOK_* per operand slot
     u8 istate = IS_WAITING;
     u8 dispatched = 0;
+    u8 arrived = 0;             ///< tokens received in InstMeta::needMask
 };
 
 struct LsqEntry
@@ -87,7 +89,13 @@ struct CycleSim::Frame
     unsigned firedCount = 0;
 
     std::vector<InstState> is;
+    /** Instructions that received a wake-relevant token before they
+     *  were dispatched (re-examined when dispatch completes). */
+    std::array<u64, isa::MAX_INSTS / 64> earlyWake{};
     std::vector<Tok> writeVals;
+    /** Registers the block writes (bit per register): lets register
+     *  reads skip frames that cannot supply their value. */
+    std::array<u64, isa::NUM_REGS / 64> writeRegs{};
     /** LSQ kept insertion-sorted by LSID so loads merge in place.
      *  Small inline buffer: spills stay allocated for the life of the
      *  frame slot, so steady state is still allocation-free. */
@@ -218,6 +226,9 @@ CycleSim::metaFor(u32 block_idx)
         im.numInputs = info.numInputs;
         im.latency = info.latency;
         im.lsid = in.lsid;
+        im.needMask = static_cast<u8>(((1u << info.numInputs) - 1) |
+                                      (in.predicated() ? 4u : 0u));
+        im.needCount = static_cast<u8>(__builtin_popcount(im.needMask));
         u8 fl = 0;
         if (in.predicated())
             fl |= FL_PREDICATED;
@@ -246,45 +257,60 @@ CycleSim::frameOlder(unsigned a, unsigned b) const
 // Event machinery
 // ---------------------------------------------------------------------
 
-void
-CycleSim::pushEvent(Event ev)
+[[gnu::always_inline]] inline void
+CycleSim::pushEvent(Cycle when, EvKind kind, unsigned fidx, u32 epoch,
+                    u16 inst, u64 value, bool is_null, u8 aux)
 {
-    ev.seq = ++eventSeq;
     // The wheel requires a completion at least one cycle out; clamp
     // so zero-latency UarchConfig settings degrade to next-cycle
     // completion instead of landing in an already-drained bucket.
-    if (ev.when <= now)
-        ev.when = now + 1;
-    u64 delta = ev.when - now;
-    if (delta < WHEEL_SIZE)
-        wheel[ev.when & WHEEL_MASK].push_back(ev);
-    else
-        overflow.push(ev);
+    if (when <= now)
+        when = now + 1;
+    // Fields are stored straight into the bucket slot: assembling the
+    // event on the stack and copying it stalls on store forwarding.
+    auto fill = [&](Event &ev) {
+        ev.value = value;
+        ev.epoch = epoch;
+        ev.inst = inst;
+        ev.fidx = static_cast<u8>(fidx);
+        ev.kind = kind;
+        ev.aux = aux;
+        ev.isNull = is_null;
+    };
+    if (when - now < WHEEL_SIZE) {
+        fill(wheel[when & WHEEL_MASK].emplace_back());
+    } else {
+        LateEvent late;
+        late.when = when;
+        late.seq = ++lateSeq;
+        fill(late.ev);
+        overflow.push(late);
+    }
 }
 
-void
+[[gnu::always_inline]] inline void
 CycleSim::processEvent(const Event &ev)
 {
     Frame &f = frames[ev.fidx];
     if (f.st == Frame::St::Free || f.epoch != ev.epoch)
         return;
     switch (ev.kind) {
-      case 0:
+      case EvKind::ExecDone:
         finishExecute(ev.fidx, ev.inst, ev.value, ev.isNull);
         break;
-      case 1:
-        deliverToken(ev.fidx, ev.inst, ev.operand, ev.value, ev.isNull);
+      case EvKind::TokenDeliver:
+        deliverToken(ev.fidx, ev.inst, ev.aux, ev.value, ev.isNull);
         break;
-      case 2:
+      case EvKind::WriteNote:
         ++f.writesDone;
         break;
-      case 3:
-        if (!(f.storeDoneMask & (1u << ev.lsid))) {
-            f.storeDoneMask |= 1u << ev.lsid;
+      case EvKind::StoreNote:
+        if (!(f.storeDoneMask & (1u << ev.aux))) {
+            f.storeDoneMask |= 1u << ev.aux;
             ++f.storesDone;
         }
         break;
-      case 4:
+      case EvKind::LoadReply:
         finishExecute(ev.fidx, ev.inst, ev.value, false,
                       /*is_load_reply=*/true);
         break;
@@ -294,39 +320,22 @@ CycleSim::processEvent(const Event &ev)
 void
 CycleSim::drainEvents()
 {
-    // Merge the current wheel bucket (FIFO, seq-ascending by
-    // construction) with due overflow events, preserving global
-    // (when, seq) order. Events pushed while draining always land at
-    // least one cycle ahead, never in this bucket.
-    auto &bucket = wheel[now & WHEEL_MASK];
-    if (overflow.empty() || overflow.top().when > now) {
-        // Common case: nothing due in the overflow heap. Processing
-        // can push new overflow events, but those are never due this
-        // cycle, so the bucket alone is the whole drain.
-        for (size_t i = 0; i < bucket.size(); ++i) {
-            const Event ev = bucket[i];
-            processEvent(ev);
-        }
-        bucket.clear();
-        return;
+    // Global order is push order among events due this cycle. A due
+    // overflow event was pushed at least WHEEL_SIZE cycles before now,
+    // and every bucket event less than WHEEL_SIZE cycles before now,
+    // so all due overflow events (in their own seq order) come first.
+    // drainEvents runs every cycle, so nothing in the heap is overdue.
+    // Events pushed while draining land at least one cycle ahead,
+    // never in this bucket and never due in the heap.
+    while (!overflow.empty() && overflow.top().when == now) {
+        const Event ev = overflow.top().ev;
+        overflow.pop();
+        processEvent(ev);
     }
-    size_t bi = 0;
-    while (true) {
-        bool have_b = bi < bucket.size();
-        bool have_o = !overflow.empty() && overflow.top().when <= now;
-        if (!have_b && !have_o)
-            break;
-        if (have_b &&
-            (!have_o || bucket[bi].seq < overflow.top().seq)) {
-            // Bucket entries are due exactly now: pushEvent asserts
-            // when > push-time now and the span keeps buckets unique.
-            const Event ev = bucket[bi++];
-            processEvent(ev);
-        } else {
-            const Event ev = overflow.top();
-            overflow.pop();
-            processEvent(ev);
-        }
+    auto &bucket = wheel[now & WHEEL_MASK];
+    for (size_t i = 0; i < bucket.size(); ++i) {
+        const Event ev = bucket[i];
+        processEvent(ev);
     }
     bucket.clear();
 }
@@ -358,6 +367,7 @@ CycleSim::startFetch(u32 block_idx)
     f.blk = &blk;
     f.im = metaFor(block_idx).data();
     f.is.assign(blk.insts.size(), InstState{});
+    f.earlyWake = {};
     f.dispatchedCount = 0;
     f.writesNeeded = static_cast<unsigned>(blk.writes.size());
     f.writesDone = 0;
@@ -366,6 +376,9 @@ CycleSim::startFetch(u32 block_idx)
     f.storesDone = 0;
     f.storeDoneMask = 0;
     f.writeVals.assign(blk.writes.size(), Tok{});
+    f.writeRegs = {};
+    for (const auto &w : blk.writes)
+        f.writeRegs[w.reg / 64] |= u64{1} << (w.reg % 64);
     f.lsq.clear();
     f.lsqOrder = 0;
     f.branchResolved = f.retPending = f.nextKnown = false;
@@ -410,7 +423,8 @@ CycleSim::tickFetch()
 {
     if (halted || fetchStalled || fetchingFrame >= 0)
         return;
-    if (now < fetchReadyAt)
+    // Every frame outside the frame queue is free.
+    if (now < fetchReadyAt || frameQueue.size() == frames.size())
         return;
     startFetch(nextFetchBlock);
 }
@@ -426,9 +440,11 @@ CycleSim::tickDispatch()
         // Header first: reads become visible to the register tiles.
         for (u32 r = 0; r < f.blk->reads.size(); ++r) {
             unsigned bank = Block::regBank(f.blk->reads[r].reg);
-            rtQueues[bank].push_back(
-                {static_cast<unsigned>(fetchingFrame), f.epoch,
-                 static_cast<u16>(r)});
+            RtRead rr;
+            rr.epoch = f.epoch;
+            rr.readIdx = static_cast<u16>(r);
+            rr.fidx = static_cast<u8>(fetchingFrame);
+            rtQueues[bank].push_back(rr);
             rtBusy |= static_cast<u8>(1u << bank);
         }
     }
@@ -438,8 +454,7 @@ CycleSim::tickDispatch()
         f.is[i].dispatched = 1;
         ++f.dispatchedCount;
         ++liveInsts;
-        const Instruction &in = f.blk->insts[i];
-        if (opInfo(in.op).numInputs == 0 && !in.predicated())
+        if (f.im[i].needCount == 0)
             maybeWake(static_cast<unsigned>(fetchingFrame), i);
         ++dispatchCursor;
         --budget;
@@ -448,9 +463,16 @@ CycleSim::tickDispatch()
         f.st = Frame::St::Executing;
         fetchingFrame = -1;
         fetchReadyAt = now + 1;
-        // Re-examine tokens that arrived before dispatch completed.
-        for (u16 i = 0; i < f.blk->insts.size(); ++i)
-            maybeWake(frameIndexOf(f), i);
+        // Re-examine instructions whose tokens arrived before they
+        // were dispatched, in instruction order. Every other
+        // instruction is either woken already or still missing a
+        // token, so re-examining it would change nothing.
+        const unsigned fidx = frameIndexOf(f);
+        for (unsigned w = 0; w < f.earlyWake.size(); ++w) {
+            for (u64 m = f.earlyWake[w]; m; m &= m - 1)
+                maybeWake(fidx, static_cast<u16>(
+                                    64 * w + __builtin_ctzll(m)));
+        }
     }
 }
 
@@ -458,43 +480,52 @@ CycleSim::tickDispatch()
 // Token delivery & wakeup
 // ---------------------------------------------------------------------
 
-void
+[[gnu::always_inline]] inline void
 CycleSim::deliverToken(unsigned fidx, u16 inst, unsigned operand,
                        u64 value, bool is_null)
 {
     Frame &f = frames[fidx];
     if (f.st == Frame::St::Free)
         return;
-    auto &slot = f.is[inst].opnd[operand];
-    TRIPS_ASSERT(slot.st == TOK_EMPTY, "operand received two tokens");
-    slot.st = is_null ? TOK_NULL : TOK_VALUE;
-    slot.v = value;
-    maybeWake(fidx, inst);
+    InstState &s = f.is[inst];
+    TRIPS_ASSERT(s.st[operand] == TOK_EMPTY, "operand received two tokens");
+    s.st[operand] = is_null ? TOK_NULL : TOK_VALUE;
+    s.v[operand] = value;
+    // Only a token the instruction waits on can wake it, and only the
+    // last such token or the predicate (which may squash it) can.
+    const InstMeta &im = f.im[inst];
+    if (!((im.needMask >> operand) & 1))
+        return;
+    ++s.arrived;
+    if (s.arrived != im.needCount && operand != 2)
+        return;
+    if (s.dispatched)
+        maybeWake(fidx, inst);
+    else
+        f.earlyWake[inst / 64] |= u64{1} << (inst % 64);
 }
 
-void
+[[gnu::always_inline]] inline void
 CycleSim::maybeWake(unsigned fidx, u16 inst)
 {
     Frame &f = frames[fidx];
-    if (!f.is[inst].dispatched || f.is[inst].istate != IS_WAITING)
+    InstState &s = f.is[inst];
+    if (s.istate != IS_WAITING)
         return;
     const InstMeta im = f.im[inst];
     if (im.flags & FL_PREDICATED) {
-        const auto &p = f.is[inst].opnd[2];
-        if (p.st == TOK_EMPTY)
+        if (s.st[2] == TOK_EMPTY)
             return;
         bool want = (im.flags & FL_PRED_ON_TRUE) != 0;
-        if (p.st == TOK_NULL || (p.v != 0) != want) {
-            f.is[inst].istate = IS_DEAD;
+        if (s.st[2] == TOK_NULL || (s.v[2] != 0) != want) {
+            s.istate = IS_DEAD;
             return;
         }
     }
-    for (unsigned k = 0; k < im.numInputs; ++k) {
-        if (f.is[inst].opnd[k].st == TOK_EMPTY)
-            return;
-    }
-    f.is[inst].istate = IS_READY;
-    etReady[im.et].push_back({fidx, f.epoch, inst});
+    if (s.arrived != im.needCount)
+        return;
+    s.istate = IS_READY;
+    etReady[im.et].emplace_back(fidx, f.epoch, inst);
     etReadyMask |= 1u << im.et;
 }
 
@@ -519,10 +550,13 @@ CycleSim::tickEts()
         size_t sel = ~size_t{0};
         u64 best_seq = ~0ULL;
         for (size_t k = 0; k < q.size(); ++k) {
+            // An entry whose frame epoch still matches is live: a
+            // ready instruction has exactly one entry (issue removes
+            // it, a load retry re-queues a fresh one), and freeing or
+            // refetching a frame bumps its epoch.
             const ReadyEntry e = q[k];
-            Frame &f = frames[e.fidx];
-            if (f.st == Frame::St::Free || f.epoch != e.epoch ||
-                f.is[e.inst].istate != IS_READY)
+            const Frame &f = frames[e.fidx];
+            if (f.epoch != e.epoch)
                 continue;   // stale: drop
             if (f.seq < best_seq) {
                 best_seq = f.seq;
@@ -554,36 +588,27 @@ CycleSim::issueInst(unsigned fidx, u16 inst, unsigned et)
 
     if (im.flags & FL_BRANCH) {
         // Exit packet to the GT.
-        OutPacket op;
-        op.pkt.src = isa::opnNode(isa::etCoord(et));
-        op.pkt.dst = isa::opnNode(isa::gtCoord());
-        op.pkt.cls = net::OpnClass::EtGt;
-        PacketData pd;
+        PacketData &pd = queuePacket(isa::opnNode(isa::etCoord(et)),
+                                     isa::opnNode(isa::gtCoord()),
+                                     net::OpnClass::EtGt);
         pd.kind = PacketData::Kind::Branch;
         pd.fidx = fidx;
         pd.epoch = f.epoch;
         pd.inst = inst;
-        queuePacket(op, pd);
         f.is[inst].istate = IS_FIRED;
         ++f.firedCount;
         return;
     }
 
     if (im.flags & FL_MEMORY) {
-        bool addr_null = f.is[inst].opnd[0].st == TOK_NULL;
-        Addr ea = f.is[inst].opnd[0].v +
+        bool addr_null = f.is[inst].st[0] == TOK_NULL;
+        Addr ea = f.is[inst].v[0] +
                   static_cast<u64>(static_cast<i64>(in.imm));
         if (im.flags & FL_LOAD) {
             if (addr_null) {
                 // Null loads complete locally.
-                Event ev;
-                ev.when = now + lat;
-                ev.kind = 0;
-                ev.fidx = fidx;
-                ev.epoch = f.epoch;
-                ev.inst = inst;
-                ev.isNull = true;
-                pushEvent(ev);
+                pushEvent(now + lat, EvKind::ExecDone, fidx, f.epoch, inst,
+                          0, /*is_null=*/true);
                 return;
             }
             // Dependence predictor: wait for older stores?
@@ -591,7 +616,7 @@ CycleSim::issueInst(unsigned fidx, u16 inst, unsigned et)
             if (depPred.shouldWait(key) && !olderStoresDone(fidx, inst)) {
                 // Retry next cycle.
                 f.is[inst].istate = IS_READY;
-                etReady[et].push_back({fidx, f.epoch, inst});
+                etReady[et].emplace_back(fidx, f.epoch, inst);
                 etReadyMask |= 1u << et;
                 return;
             }
@@ -600,17 +625,12 @@ CycleSim::issueInst(unsigned fidx, u16 inst, unsigned et)
             return;
         }
         // Store.
-        bool val_null = f.is[inst].opnd[1].st == TOK_NULL;
+        bool val_null = f.is[inst].st[1] == TOK_NULL;
         bool is_null = addr_null || val_null;
         if (is_null) {
             // Null store: completion token only.
-            Event ev;
-            ev.when = now + cfg.statusLatency;
-            ev.kind = 3;
-            ev.fidx = fidx;
-            ev.epoch = f.epoch;
-            ev.lsid = in.lsid;
-            pushEvent(ev);
+            pushEvent(now + cfg.statusLatency, EvKind::StoreNote, fidx,
+                      f.epoch, 0, 0, false, in.lsid);
             LsqEntry le;
             le.inst = inst;
             le.lsid = in.lsid;
@@ -622,7 +642,7 @@ CycleSim::issueInst(unsigned fidx, u16 inst, unsigned et)
             ++f.firedCount;
             return;
         }
-        sendMemRequest(fidx, inst, et, true, ea, f.is[inst].opnd[1].v,
+        sendMemRequest(fidx, inst, et, true, ea, f.is[inst].v[1],
                        false);
         return;
     }
@@ -630,35 +650,25 @@ CycleSim::issueInst(unsigned fidx, u16 inst, unsigned et)
     // Plain compute.
     bool any_null = false;
     for (unsigned k = 0; k < im.numInputs; ++k)
-        any_null |= f.is[inst].opnd[k].st == TOK_NULL;
+        any_null |= f.is[inst].st[k] == TOK_NULL;
     u64 value = 0;
     bool is_null = any_null || in.op == Opcode::NULLW;
     if (!is_null)
-        value = sim::evalOp(in.op, f.is[inst].opnd[0].v, f.is[inst].opnd[1].v,
+        value = sim::evalOp(in.op, f.is[inst].v[0], f.is[inst].v[1],
                             in.imm);
-    Event ev;
-    ev.when = now + lat;
-    ev.kind = 0;
-    ev.fidx = fidx;
-    ev.epoch = f.epoch;
-    ev.inst = inst;
-    ev.value = value;
-    ev.isNull = is_null;
-    pushEvent(ev);
+    pushEvent(now + lat, EvKind::ExecDone, fidx, f.epoch, inst, value,
+              is_null);
 }
 
 bool
 CycleSim::olderStoresDone(unsigned fidx, u16 inst) const
 {
     const Frame &f = frames[fidx];
-    u8 lsid = f.blk->insts[inst].lsid;
-    // Same frame: all store LSIDs below this load's LSID completed.
-    for (const auto &in : f.blk->insts) {
-        if (!isStore(in.op) || in.lsid >= lsid)
-            continue;
-        if (!(f.storeDoneMask & (1u << in.lsid)))
-            return false;
-    }
+    const u32 lsid = f.im[inst].lsid;
+    // Same frame: all store LSIDs below this load's LSID completed
+    // (the block's store mask is exactly its set of store LSIDs).
+    if (f.blk->storeMask & ((u32{1} << lsid) - 1) & ~f.storeDoneMask)
+        return false;
     // Older frames: all their stores completed.
     for (size_t qi = 0; qi < frameQueue.size(); ++qi) {
         unsigned idx = frameQueue[qi];
@@ -680,11 +690,9 @@ CycleSim::sendMemRequest(unsigned fidx, u16 inst, unsigned et,
 {
     Frame &f = frames[fidx];
     unsigned bank = isa::dtForAddr(ea);
-    OutPacket op;
-    op.pkt.src = isa::opnNode(isa::etCoord(et));
-    op.pkt.dst = isa::opnNode(isa::dtCoord(bank));
-    op.pkt.cls = net::OpnClass::EtDt;
-    PacketData pd;
+    PacketData &pd = queuePacket(isa::opnNode(isa::etCoord(et)),
+                                 isa::opnNode(isa::dtCoord(bank)),
+                                 net::OpnClass::EtDt);
     pd.kind = PacketData::Kind::MemRequest;
     pd.fidx = fidx;
     pd.epoch = f.epoch;
@@ -693,7 +701,6 @@ CycleSim::sendMemRequest(unsigned fidx, u16 inst, unsigned et,
     pd.addr = ea;
     pd.width = static_cast<u8>(sim::memWidth(f.blk->insts[inst].op));
     pd.value = value;
-    queuePacket(op, pd);
 }
 
 // ---------------------------------------------------------------------
@@ -738,18 +745,13 @@ CycleSim::routeOperand(unsigned fidx, u16 /*producer*/, unsigned src_node,
         // Loads replying straight to a write slot are DT->RT traffic.
         net::OpnClass cls = is_load_reply ? net::OpnClass::DtRt
                                           : net::OpnClass::EtRt;
-        OutPacket op;
-        op.pkt.src = src_node;
-        op.pkt.dst = dst;
-        op.pkt.cls = cls;
-        PacketData pd;
+        PacketData &pd = queuePacket(src_node, dst, cls);
         pd.kind = PacketData::Kind::WriteArrive;
         pd.fidx = fidx;
         pd.epoch = f.epoch;
         pd.writeSlot = t.index;
         pd.value = value;
         pd.isNull = is_null;
-        queuePacket(op, pd);
         return;
     }
     unsigned operand = t.kind == Target::Kind::Op0 ? 0
@@ -761,16 +763,8 @@ CycleSim::routeOperand(unsigned fidx, u16 /*producer*/, unsigned src_node,
         net::OpnClass bcls = is_load_reply ? net::OpnClass::DtEt
                                            : net::OpnClass::EtEt;
         res.opnHops[static_cast<size_t>(bcls)].sample(0);
-        Event ev;
-        ev.when = now + 1;
-        ev.kind = 1;
-        ev.fidx = fidx;
-        ev.epoch = f.epoch;
-        ev.inst = t.index;
-        ev.operand = static_cast<u8>(operand);
-        ev.value = value;
-        ev.isNull = is_null;
-        pushEvent(ev);
+        pushEvent(now + 1, EvKind::TokenDeliver, fidx, f.epoch, t.index,
+                  value, is_null, static_cast<u8>(operand));
         return;
     }
     net::OpnClass cls = net::OpnClass::EtEt;
@@ -778,11 +772,7 @@ CycleSim::routeOperand(unsigned fidx, u16 /*producer*/, unsigned src_node,
         cls = net::OpnClass::DtEt;      // load reply to a consumer ET
     else if (srcIsRt(src_node))
         cls = net::OpnClass::RtEt;      // register read operand
-    OutPacket op;
-    op.pkt.src = src_node;
-    op.pkt.dst = dst;
-    op.pkt.cls = cls;
-    PacketData pd;
+    PacketData &pd = queuePacket(src_node, dst, cls);
     pd.kind = PacketData::Kind::Operand;
     pd.fidx = fidx;
     pd.epoch = f.epoch;
@@ -790,7 +780,6 @@ CycleSim::routeOperand(unsigned fidx, u16 /*producer*/, unsigned src_node,
     pd.operand = static_cast<u8>(operand);
     pd.value = value;
     pd.isNull = is_null;
-    queuePacket(op, pd);
 }
 
 bool
@@ -805,24 +794,43 @@ CycleSim::srcIsRt(unsigned node)
     return node < isa::OPN_COLS && node > 0;
 }
 
-void
-CycleSim::queuePacket(OutPacket op, const PacketData &pd)
+[[gnu::always_inline]] inline CycleSim::PacketData &
+CycleSim::queuePacket(unsigned src, unsigned dst, net::OpnClass cls)
 {
-    u32 id = packetPool.alloc();
-    packetPool[id] = pd;
-    op.pkt.tag = id;
-    outbox.push_back(op);
+    net::OpnPacket pkt;
+    pkt.src = static_cast<u8>(src);
+    pkt.dst = static_cast<u8>(dst);
+    pkt.cls = cls;
+    pkt.tag = packetPool.alloc();
+    // Inject at once unless an older packet from the same node is
+    // still waiting. Whether an inject succeeds depends only on its
+    // source node's local FIFO, which nothing but injects at that node
+    // changes before the next tick, so this is the outcome the
+    // end-of-cycle pump would reach (and once a node's FIFO refuses a
+    // packet it refuses the node's later ones this cycle too).
+    if (((outboxNodes >> src) & 1) || !opn.inject(pkt)) {
+        outbox.push_back(pkt);
+        outboxNodes |= u32{1} << src;
+    }
+    // The payload is read only on delivery, so the caller fills it in
+    // after the flit is already queued.
+    return packetPool[pkt.tag];
 }
 
 void
 CycleSim::pumpOutbox()
 {
-    // Try each packet once, in order; keep the failures in order
-    // (stable in-place compaction, no O(n^2) middle erases).
+    // Try each waiting packet once, in order; keep the failures in
+    // order (stable in-place compaction, no O(n^2) middle erases).
+    if (outbox.empty())
+        return;
     size_t w = 0;
+    outboxNodes = 0;
     for (size_t i = 0; i < outbox.size(); ++i) {
-        if (!opn.inject(outbox[i].pkt, now))
+        if (!opn.inject(outbox[i])) {
+            outboxNodes |= u32{1} << outbox[i].src;
             outbox[w++] = outbox[i];
+        }
     }
     outbox.truncate(w);
 }
@@ -851,12 +859,8 @@ CycleSim::deliverPackets()
                          "write slot received two tokens");
             slot.st = pd.isNull ? TOK_NULL : TOK_VALUE;
             slot.v = pd.value;
-            Event ev;
-            ev.when = now + cfg.statusLatency;
-            ev.kind = 2;
-            ev.fidx = pd.fidx;
-            ev.epoch = pd.epoch;
-            pushEvent(ev);
+            pushEvent(now + cfg.statusLatency, EvKind::WriteNote, pd.fidx,
+                      pd.epoch);
             break;
           }
           case PacketData::Kind::MemRequest: {
@@ -944,13 +948,8 @@ CycleSim::tickDts()
                 f.is[pd.inst].istate = IS_FIRED;
                 ++f.firedCount;
             }
-            Event ev;
-            ev.when = now + cfg.statusLatency;
-            ev.kind = 3;
-            ev.fidx = pd.fidx;
-            ev.epoch = pd.epoch;
-            ev.lsid = in.lsid;
-            pushEvent(ev);
+            pushEvent(now + cfg.statusLatency, EvKind::StoreNote, pd.fidx,
+                      pd.epoch, 0, 0, false, in.lsid);
             checkViolations(pd.fidx, pd.inst, pd.addr, pd.width,
                             in.lsid);
             continue;
@@ -987,14 +986,8 @@ CycleSim::tickDts()
                               net::OcnClass::ReadReq) +
                    cfg.l1dHitLatency;
         }
-        Event ev;
-        ev.when = done;
-        ev.kind = 4;
-        ev.fidx = pd.fidx;
-        ev.epoch = pd.epoch;
-        ev.inst = pd.inst;
-        ev.value = value;
-        pushEvent(ev);
+        pushEvent(done, EvKind::LoadReply, pd.fidx, pd.epoch, pd.inst,
+                  value);
     }
 }
 
@@ -1079,6 +1072,26 @@ CycleSim::checkViolations(unsigned fidx, u16, Addr addr, u8 width,
 // Register tiles
 // ---------------------------------------------------------------------
 
+bool
+CycleSim::readStillBlocked(const RtRead &rr) const
+{
+    // A recorded blocker that still holds decides a read's walk before
+    // it starts: every frame between the blocker and the reader was
+    // already found to hold no value for the register, and none can
+    // change while both epochs hold (frames leave the queue
+    // oldest-first at commit, which the blocker cannot reach yet, or
+    // youngest-first on a flush, which would take the reader's frame
+    // too; write tokens are written once).
+    if (rr.blocker == NO_BLOCKER || frames[rr.fidx].epoch != rr.epoch)
+        return false;
+    const Frame &b = frames[rr.blocker];
+    if (b.epoch != rr.blockerEpoch)
+        return false;
+    if (rr.blockerSlot == HEADER_PENDING)
+        return b.st == Frame::St::Fetching || b.st == Frame::St::Dispatching;
+    return b.writeVals[rr.blockerSlot].st == TOK_EMPTY;
+}
+
 void
 CycleSim::tickRts()
 {
@@ -1086,10 +1099,16 @@ CycleSim::tickRts()
         unsigned bank = static_cast<unsigned>(__builtin_ctz(bm));
         auto &q = rtQueues[bank];
         RtRead rr = q.front();
+        if (readStillBlocked(rr)) {
+            // Retry next cycle from the back of the queue.
+            q.pop_front();
+            q.push_back(rr);
+            continue;
+        }
+        Frame &f = frames[rr.fidx];
         q.pop_front();
         if (q.empty())
             rtBusy &= static_cast<u8>(~(1u << bank));
-        Frame &f = frames[rr.fidx];
         if (f.st == Frame::St::Free || f.epoch != rr.epoch)
             continue;
         const auto &read = f.blk->reads[rr.readIdx];
@@ -1105,26 +1124,33 @@ CycleSim::tickRts()
         bool have = false;
         u64 value = 0;
         for (size_t oi = pos; oi-- > 0;) {
-            Frame &g = frames[frameQueue[oi]];
+            const unsigned gi = frameQueue[oi];
+            const Frame &g = frames[gi];
             if (g.st == Frame::St::Fetching ||
                 g.st == Frame::St::Dispatching) {
                 wait = true;  // writes unknown until header dispatched
-                break;
-            }
-            for (size_t w = 0; w < g.blk->writes.size(); ++w) {
-                if (g.blk->writes[w].reg != read.reg)
-                    continue;
+                rr.blockerSlot = HEADER_PENDING;
+            } else if ((g.writeRegs[read.reg / 64] >> (read.reg % 64)) & 1) {
+                // The frame's first write to the register decides.
+                size_t w = 0;
+                while (g.blk->writes[w].reg != read.reg)
+                    ++w;
                 const auto &tok = g.writeVals[w];
                 if (tok.st == TOK_EMPTY) {
                     wait = true;
+                    rr.blockerSlot = static_cast<u8>(w);
                 } else if (tok.st == TOK_VALUE) {
                     have = true;
                     value = tok.v;
                 }
                 // Null write: keep searching older frames.
+            }
+            if (wait) {
+                rr.blocker = static_cast<u8>(gi);
+                rr.blockerEpoch = g.epoch;
                 break;
             }
-            if (wait || have)
+            if (have)
                 break;
         }
         if (wait) {
@@ -1398,7 +1424,7 @@ CycleSim::tickCommit()
 void
 CycleSim::stepCycle()
 {
-    opn.tick(now);
+    opn.tick();
     deliverPackets();
     drainEvents();
     tickDts();
@@ -1411,8 +1437,8 @@ CycleSim::stepCycle()
     pumpOutbox();
 
     // Window occupancy sampling (counters kept incrementally).
-    sumBlocksInFlight += static_cast<double>(frameQueue.size());
-    sumInstsInFlight += static_cast<double>(liveInsts);
+    sumBlocksInFlight += frameQueue.size();
+    sumInstsInFlight += liveInsts;
     res.peakInstsInFlight =
         std::max(res.peakInstsInFlight, liveInsts);
 
@@ -1449,8 +1475,12 @@ CycleSim::finish()
             uncore->noteL1Writeback(coreId, line, cfg.l1dBank.lineBytes);
         }
     }
-    res.avgBlocksInFlight = now ? sumBlocksInFlight / now : 0;
-    res.avgInstsInFlight = now ? sumInstsInFlight / now : 0;
+    // The u64 sums convert exactly (they stay far below 2^53), so the
+    // averages equal the historical double accumulation.
+    res.avgBlocksInFlight =
+        now ? static_cast<double>(sumBlocksInFlight) / now : 0;
+    res.avgInstsInFlight =
+        now ? static_cast<double>(sumInstsInFlight) / now : 0;
     res.predictor = predictor.stats();
     // res.opnHops already holds the local-bypass samples (0 hops);
     // fold in the traffic that actually crossed the network so the

@@ -26,9 +26,10 @@
  * timed events sit in a bucketed timing wheel (bounded latencies) with
  * a small overflow heap (rare long-latency DRAM replies), and every
  * per-tile queue is a reuse-friendly SmallVec/RingQueue. Event order
- * is fully deterministic: same-cycle events fire in push order
- * (tracked by a sequence number), which the wheel's FIFO buckets and
- * the (when, seq)-ordered overflow heap preserve exactly.
+ * is fully deterministic: same-cycle events fire in push order. The
+ * wheel's FIFO buckets keep that order for free; the overflow heap
+ * orders by (when, seq), and its due events fire before the bucket's
+ * because they were pushed at least WHEEL_SIZE cycles earlier.
  */
 
 #ifndef TRIPSIM_UARCH_CYCLE_SIM_HH
@@ -106,6 +107,10 @@ struct UarchResult
     {
         return cycles ? static_cast<double>(instsFired) / cycles : 0;
     }
+
+    /** Field-by-field equality (the averages compare exactly: equal
+     *  runs accumulate them identically). */
+    bool operator==(const UarchResult &) const = default;
 };
 
 class CycleSim
@@ -205,34 +210,58 @@ class CycleSim
         u16 inst;
     };
 
+    /**
+     * A queued register read. A read that must wait records what
+     * blocked it: an older frame (slot + epoch) whose header is still
+     * being dispatched, or one of its write slots that is still empty.
+     * While that holds the read's resolution cannot change (see
+     * readStillBlocked), so the retry re-queues without walking the
+     * frames.
+     */
     struct RtRead
     {
-        unsigned fidx;
-        u32 epoch;
-        u16 readIdx;
+        u32 epoch = 0;
+        u32 blockerEpoch = 0;
+        u16 readIdx = 0;
+        u8 fidx = 0;
+        u8 blocker = NO_BLOCKER;    ///< frame slot, or NO_BLOCKER
+        u8 blockerSlot = 0;         ///< write slot, or HEADER_PENDING
+    };
+    static constexpr u8 NO_BLOCKER = 0xff;
+    static constexpr u8 HEADER_PENDING = 0xff;
+
+    enum class EvKind : u8 {
+        ExecDone,       ///< an instruction's result is ready
+        TokenDeliver,   ///< a locally bypassed operand arrives
+        WriteNote,      ///< a register write reached the GT
+        StoreNote,      ///< a store completion reached the GT
+        LoadReply,      ///< a load's value returns to its ET
     };
 
-    struct OutPacket
-    {
-        net::OpnPacket pkt;
-    };
-
-    /** Packed to 40 bytes: wheel buckets copy these by value. */
+    /**
+     * A timed event, packed to 24 bytes. Its due cycle is implied by
+     * the wheel bucket that holds it (or carried by the overflow
+     * entry), and same-cycle order is the bucket's FIFO order.
+     */
     struct Event
     {
-        Cycle when = 0;
         u64 value = 0;
-        u64 seq = 0;   ///< push order; same-cycle events fire FIFO
-        unsigned fidx = 0;
         u32 epoch = 0;
         u16 inst = 0;
-        u8 kind = 0;   // 0 ExecDone, 1 TokenDeliver, 2 GtWriteNote,
-                       // 3 GtStoreNote, 4 LoadReply
-        u8 operand = 0;
+        u8 fidx = 0;
+        EvKind kind = EvKind::ExecDone;
+        u8 aux = 0;     ///< TokenDeliver: operand slot; StoreNote: LSID
         bool isNull = false;
-        u8 lsid = 0;
+    };
 
-        bool operator<(const Event &o) const
+    /** An event due WHEEL_SIZE or more cycles after it was pushed. */
+    struct LateEvent
+    {
+        Cycle when = 0;
+        u64 seq = 0;   ///< push order among late events
+        Event ev;
+
+        bool operator<(const LateEvent &o) const
         {
             if (when != o.when)
                 return when > o.when;
@@ -251,6 +280,7 @@ class CycleSim
     void tickFetch();
     void tickDispatch();
     void tickRts();
+    bool readStillBlocked(const RtRead &rr) const;
     void tickEts();
     void tickDts();
     void tickCommit();
@@ -286,8 +316,10 @@ class CycleSim
                          u8 lsid);
     Cycle portAccess(Addr addr, bool is_write, unsigned requester_bank,
                      net::OcnClass cls);
-    void queuePacket(OutPacket op, const PacketData &pd);
-    void pushEvent(Event ev);
+    PacketData &queuePacket(unsigned src, unsigned dst, net::OpnClass cls);
+    void pushEvent(Cycle when, EvKind kind, unsigned fidx, u32 epoch,
+                   u16 inst = 0, u64 value = 0, bool is_null = false,
+                   u8 aux = 0);
     void processEvent(const Event &ev);
     static bool srcIsDt(unsigned node);
     static bool srcIsRt(unsigned node);
@@ -306,6 +338,8 @@ class CycleSim
         u8 latency = 0;
         u8 flags = 0;       ///< see FL_* below
         u8 lsid = 0;
+        u8 needMask = 0;    ///< operand slots it waits on (bit 2 = pred)
+        u8 needCount = 0;   ///< popcount(needMask)
     };
     enum : u8 {
         FL_PREDICATED = 1 << 0,
@@ -332,15 +366,19 @@ class CycleSim
 
     net::OpnNetwork opn;
     SlabPool<PacketData> packetPool;
-    SmallVec<OutPacket, 64> outbox;
+    /** Packets the OPN refused, retried in order at the end of each
+     *  cycle, and the bit set of their source nodes. */
+    SmallVec<net::OpnPacket, 64> outbox;
+    u32 outboxNodes = 0;
+    static_assert(net::OpnNetwork::NODES <= 32, "outboxNodes is a u32");
 
     // Event machinery: wheel buckets hold same-cycle events in push
-    // (seq) order; the overflow heap is ordered by (when, seq). Small
-    // inline buckets keep the wheel's working set compact; heavy
-    // buckets spill once and keep their buffer.
+    // order; the overflow heap is ordered by (when, seq). Small inline
+    // buckets keep the wheel's working set compact; heavy buckets
+    // spill once and keep their buffer.
     std::array<SmallVec<Event, 8>, WHEEL_SIZE> wheel;
-    std::priority_queue<Event> overflow;
-    u64 eventSeq = 0;
+    std::priority_queue<LateEvent> overflow;
+    u64 lateSeq = 0;
 
     mem::Cache l1i;
     std::vector<mem::Cache> l1d;      ///< 4 banks (private)
@@ -397,8 +435,8 @@ class CycleSim
 
     // Window occupancy, maintained incrementally (no per-cycle walk).
     u64 liveInsts = 0;                ///< dispatched insts in queued frames
-    double sumBlocksInFlight = 0;
-    double sumInstsInFlight = 0;
+    u64 sumBlocksInFlight = 0;
+    u64 sumInstsInFlight = 0;
 };
 
 } // namespace trips::uarch

@@ -25,6 +25,7 @@
 #include "harness/diff.hh"
 #include "support/error.hh"
 #include "testutil.hh"
+#include "uarch_expect.hh"
 #include "uarch/chip_sim.hh"
 #include "wir/builder.hh"
 #include "wir/interp.hh"
@@ -76,40 +77,7 @@ runSolo(const isa::Program &prog, const Module &mod,
     return s;
 }
 
-/** Every scalar UarchResult field plus the OPN profile. */
-void
-expectSameUarch(const uarch::UarchResult &a, const uarch::UarchResult &b)
-{
-    EXPECT_EQ(a.retVal, b.retVal);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.blocksCommitted, b.blocksCommitted);
-    EXPECT_EQ(a.blocksFlushed, b.blocksFlushed);
-    EXPECT_EQ(a.instsFetched, b.instsFetched);
-    EXPECT_EQ(a.instsFired, b.instsFired);
-    EXPECT_EQ(a.branchMispredicts, b.branchMispredicts);
-    EXPECT_EQ(a.loadViolationFlushes, b.loadViolationFlushes);
-    EXPECT_EQ(a.icacheMissStalls, b.icacheMissStalls);
-    EXPECT_EQ(a.l1dHits, b.l1dHits);
-    EXPECT_EQ(a.l1dMisses, b.l1dMisses);
-    EXPECT_EQ(a.l1iHits, b.l1iHits);
-    EXPECT_EQ(a.l1iMisses, b.l1iMisses);
-    EXPECT_EQ(a.l2Hits, b.l2Hits);
-    EXPECT_EQ(a.l2Misses, b.l2Misses);
-    EXPECT_EQ(a.l1dWritebacks, b.l1dWritebacks);
-    EXPECT_EQ(a.l2Writebacks, b.l2Writebacks);
-    EXPECT_EQ(a.loadsExecuted, b.loadsExecuted);
-    EXPECT_EQ(a.storesCommitted, b.storesCommitted);
-    EXPECT_EQ(a.bytesL1, b.bytesL1);
-    EXPECT_EQ(a.bytesL2, b.bytesL2);
-    EXPECT_EQ(a.bytesMem, b.bytesMem);
-    EXPECT_EQ(a.peakInstsInFlight, b.peakInstsInFlight);
-    EXPECT_DOUBLE_EQ(a.avgBlocksInFlight, b.avgBlocksInFlight);
-    EXPECT_DOUBLE_EQ(a.avgInstsInFlight, b.avgInstsInFlight);
-    EXPECT_EQ(a.opnPackets, b.opnPackets);
-    EXPECT_EQ(a.localBypasses, b.localBypasses);
-    for (size_t c = 0; c < a.opnHops.size(); ++c)
-        EXPECT_EQ(a.opnHops[c].samples(), b.opnHops[c].samples());
-}
+using testutil::expectSameUarch;
 
 } // namespace
 

@@ -11,6 +11,7 @@
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "net/opn.hh"
+#include "opn_reference.hh"
 #include "pred/predictors.hh"
 #include "support/memimage.hh"
 #include "support/rng.hh"
@@ -114,11 +115,12 @@ TEST(Opn, DeliversWithManhattanHops)
     p.dst = isa::opnNode(isa::etCoord(15));   // (4,4)
     p.cls = net::OpnClass::EtEt;
     p.tag = 77;
-    ASSERT_TRUE(opn.inject(p, 0));
+    ASSERT_TRUE(opn.inject(p));
     Cycle t = 0;
     bool got = false;
     while (t < 50 && !got) {
-        opn.tick(++t);
+        ++t;
+        opn.tick();
         for (const auto &d : opn.delivered()) {
             EXPECT_EQ(d.tag, 77u);
             EXPECT_EQ(d.hops, 6u);
@@ -142,12 +144,12 @@ TEST(Opn, AllPairsDeliverExactlyOnce)
         p.dst = (s * 7 + 3) % net::OpnNetwork::NODES;
         p.tag = tag++;
         p.cls = net::OpnClass::Other;
-        if (opn.inject(p, 0))
+        if (opn.inject(p))
             ++sent;
     }
     unsigned received = 0;
     for (Cycle t = 1; t < 200; ++t) {
-        opn.tick(t);
+        opn.tick();
         received += static_cast<unsigned>(opn.delivered().size());
     }
     EXPECT_EQ(received, sent);
@@ -161,8 +163,86 @@ TEST(Opn, BackpressureOnFullFifo)
     p.dst = 24;
     unsigned accepted = 0;
     for (int i = 0; i < 10; ++i)
-        accepted += opn.inject(p, 0);
+        accepted += opn.inject(p);
     EXPECT_EQ(accepted, net::OpnNetwork::FIFO_DEPTH);
+}
+
+/**
+ * Differential check of the OPN router against the reference copy of
+ * the previous implementation (tests/opn_reference.hh): seeded random
+ * traffic mixing uniform packets, same-source bursts that overflow the
+ * local FIFO, and hotspot phases that back flits up through the mesh.
+ * Every tick compares each inject verdict, the delivery list (order,
+ * tag, hops) and, at the end, every per-class hop histogram.
+ */
+TEST(Opn, MatchesReferenceRouterUnderRandomTraffic)
+{
+    constexpr unsigned N = net::OpnNetwork::NODES;
+    const auto classes = static_cast<unsigned>(net::OpnClass::NUM_CLASSES);
+    for (u64 seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        Rng rng(seed);
+        net::OpnNetwork opn;
+        net::ref::OpnNetwork ref;
+        u32 tag = 0;
+        u64 rejected = 0, delivered = 0;
+        auto attempt = [&](unsigned src, unsigned dst) {
+            net::OpnPacket p;
+            p.src = static_cast<u8>(src);
+            p.dst = static_cast<u8>(dst);
+            p.cls = static_cast<net::OpnClass>(rng.below(classes));
+            p.tag = tag++;
+            net::ref::OpnPacket r;
+            r.src = p.src;
+            r.dst = p.dst;
+            r.cls = p.cls;
+            r.tag = p.tag;
+            bool ok = opn.inject(p);
+            ASSERT_EQ(ok, ref.inject(r, 0)) << "inject of tag " << p.tag;
+            rejected += !ok;
+        };
+        const unsigned ticks = 3000;
+        for (unsigned t = 0; t < ticks + 200; ++t) {
+            opn.tick();
+            ref.tick(t);
+            const auto &got = opn.delivered();
+            const auto &want = ref.delivered();
+            ASSERT_EQ(got.size(), want.size()) << "tick " << t;
+            for (size_t i = 0; i < got.size(); ++i) {
+                EXPECT_EQ(got[i].tag, want[i].tag) << "tick " << t;
+                EXPECT_EQ(got[i].hops, want[i].hops) << "tick " << t;
+                EXPECT_EQ(got[i].src, want[i].src);
+                EXPECT_EQ(got[i].dst, want[i].dst);
+                EXPECT_EQ(got[i].cls, want[i].cls);
+            }
+            delivered += got.size();
+            if (t >= ticks)
+                continue;   // drain phase: no new traffic
+            // Phases of 250 ticks cycle through the traffic shapes.
+            const unsigned phase = (t / 250 + static_cast<unsigned>(seed)) % 3;
+            const unsigned hot = static_cast<unsigned>(rng.below(N));
+            const unsigned n = static_cast<unsigned>(rng.below(7));
+            for (unsigned k = 0; k < n; ++k) {
+                unsigned src = static_cast<unsigned>(rng.below(N));
+                unsigned dst = static_cast<unsigned>(rng.below(N));
+                if (phase == 1)
+                    dst = (t / 250 * 7) % N;   // hotspot sink
+                attempt(src, dst);
+            }
+            if (phase == 2 && rng.chance(0.3)) {
+                // Same-source burst, longer than the local FIFO.
+                for (unsigned k = 0; k < 6; ++k)
+                    attempt(hot, static_cast<unsigned>(rng.below(N)));
+            }
+        }
+        EXPECT_EQ(opn.packetsSent(), ref.packetsSent());
+        EXPECT_EQ(delivered, opn.packetsSent()) << "drain incomplete";
+        EXPECT_GT(rejected, 0u) << "traffic never filled a FIFO";
+        for (unsigned c = 0; c < classes; ++c) {
+            auto cls = static_cast<net::OpnClass>(c);
+            EXPECT_EQ(opn.hopDist(cls), ref.hopDist(cls)) << "class " << c;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
