@@ -168,7 +168,9 @@ OpnNetwork::tick()
         arrivals.push_back(pkt);
     }
     // Each downstream FIFO has one upstream link, so at most one flit
-    // enters it per tick and the application order is immaterial.
+    // enters it per tick; a shift-register FIFO popped and pushed in
+    // the same tick ends the same in either order, so the application
+    // order is immaterial.
     for (unsigned i = 0; i < n_fwd; ++i) {
         const u16 id = pop(forwards[i].from);
         push(forwards[i].to, id, pool[id].dst);
