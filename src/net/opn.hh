@@ -124,8 +124,8 @@ class OpnNetwork
     std::array<u8, NODES> portMask{};
     unsigned rrPointer = 0;
 
-    // Per-tick grant lists (scratch): at most one eject per router and
-    // one forward per router output.
+    // Grant lists, refilled every tick: at most one eject per router
+    // and one forward per router output.
     std::array<u8, NODES> ejects{};
     std::array<Grant, NODES * (PORTS - 1)> forwards{};
     std::vector<OpnPacket> arrivals;

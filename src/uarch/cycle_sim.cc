@@ -551,7 +551,7 @@ CycleSim::tickEts()
         u64 best_seq = ~0ULL;
         for (size_t k = 0; k < q.size(); ++k) {
             // An entry whose frame epoch still matches is live: a
-            // ready instruction has exactly one entry (issue removes
+            // ready instruction has exactly one entry (issuing removes
             // it, a load retry re-queues a fresh one), and freeing or
             // refetching a frame bumps its epoch.
             const ReadyEntry e = q[k];
