@@ -131,6 +131,8 @@ OpnNetwork::tick()
                         (fifos[to].count < FIFO_DEPTH);
         used = static_cast<u8>(used | (unsigned{go} << out));
         const bool local = to == SINK;
+        // Store into both lists and count only the grant; the lists
+        // keep a spare slot for these stores (see opn.hh).
         ejects[n_eject] = static_cast<u8>(from);
         forwards[n_fwd] = {static_cast<u8>(from), static_cast<u8>(to)};
         n_eject += go & local;

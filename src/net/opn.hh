@@ -125,9 +125,18 @@ class OpnNetwork
     unsigned rrPointer = 0;
 
     // Grant lists, refilled every tick: at most one eject per router
-    // and one forward per router output.
-    std::array<u8, NODES> ejects{};
+    // and one forward per router output. Arbitration stores into the
+    // next free slot before it knows whether the grant holds, so each
+    // list needs one slot past its most grants: ejects can reach NODES
+    // (every router ejects in one tick) and still take a store, hence
+    // the extra slot; forwards reach at most the mesh's 80 links, well
+    // under NODES * 4.
+    std::array<u8, NODES + 1> ejects{};
     std::array<Grant, NODES * (PORTS - 1)> forwards{};
+    static_assert(2 * (isa::OPN_ROWS * (isa::OPN_COLS - 1) +
+                       isa::OPN_COLS * (isa::OPN_ROWS - 1)) <
+                      NODES * (PORTS - 1),
+                  "forwards has a slot past one grant per directed link");
     std::vector<OpnPacket> arrivals;
 
     /** Raw delivery counts per class and hop count. */

@@ -167,55 +167,135 @@ TEST(Opn, BackpressureOnFullFifo)
     EXPECT_EQ(accepted, net::OpnNetwork::FIFO_DEPTH);
 }
 
+namespace {
+
+/** The router under test and the reference router, driven in lockstep. */
+struct OpnLockstep
+{
+    net::OpnNetwork opn;
+    net::ref::OpnNetwork ref;
+    u32 tag = 0;
+    unsigned ticks = 0;
+    u64 rejected = 0, delivered = 0;
+
+    /** Offer one packet to both; their verdicts must agree. */
+    void
+    inject(unsigned src, unsigned dst, net::OpnClass cls)
+    {
+        net::OpnPacket p;
+        p.src = static_cast<u8>(src);
+        p.dst = static_cast<u8>(dst);
+        p.cls = cls;
+        p.tag = tag++;
+        net::ref::OpnPacket r;
+        r.src = p.src;
+        r.dst = p.dst;
+        r.cls = p.cls;
+        r.tag = p.tag;
+        bool ok = opn.inject(p);
+        ASSERT_EQ(ok, ref.inject(r, 0)) << "inject of tag " << p.tag;
+        rejected += !ok;
+    }
+
+    /** Tick both; the deliveries must agree in order and content. */
+    void
+    tick()
+    {
+        const unsigned t = ticks++;
+        opn.tick();
+        ref.tick(t);
+        const auto &got = opn.delivered();
+        const auto &want = ref.delivered();
+        ASSERT_EQ(got.size(), want.size()) << "tick " << t;
+        for (size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].tag, want[i].tag) << "tick " << t;
+            EXPECT_EQ(got[i].hops, want[i].hops) << "tick " << t;
+            EXPECT_EQ(got[i].src, want[i].src);
+            EXPECT_EQ(got[i].dst, want[i].dst);
+            EXPECT_EQ(got[i].cls, want[i].cls);
+        }
+        delivered += got.size();
+    }
+
+    /** Every packet sent was delivered, with equal hop histograms. */
+    void
+    expectDrainedAndEqual()
+    {
+        EXPECT_EQ(opn.packetsSent(), ref.packetsSent());
+        EXPECT_EQ(delivered, opn.packetsSent()) << "drain incomplete";
+        const auto classes =
+            static_cast<unsigned>(net::OpnClass::NUM_CLASSES);
+        for (unsigned c = 0; c < classes; ++c) {
+            auto cls = static_cast<net::OpnClass>(c);
+            EXPECT_EQ(opn.hopDist(cls), ref.hopDist(cls)) << "class " << c;
+        }
+    }
+};
+
+} // namespace
+
 /**
  * Differential check of the OPN router against the reference copy of
- * the previous implementation (tests/opn_reference.hh): seeded random
+ * the previous implementation (tests/opn_reference.hh). First a
+ * directed case for the grant lists' bound, then seeded random
  * traffic mixing uniform packets, same-source bursts that overflow the
  * local FIFO, and hotspot phases that back flits up through the mesh.
- * Every tick compares each inject verdict, the delivery list (order,
- * tag, hops) and, at the end, every per-class hop histogram.
+ * Every tick compares each inject verdict and the delivery list
+ * (order, tag, hops); the end compares every per-class hop histogram.
  */
 TEST(Opn, MatchesReferenceRouterUnderRandomTraffic)
 {
     constexpr unsigned N = net::OpnNetwork::NODES;
     const auto classes = static_cast<unsigned>(net::OpnClass::NUM_CLASSES);
+    const auto cls = net::OpnClass::Other;
+
+    // Directed: every router ejects in one tick while node N-1, the
+    // last one arbitrated, holds a second flit, so arbitration visits
+    // one more input after the N-th eject grant. Node 0 forwards in
+    // the same tick, so a grant-list overrun would corrupt a live
+    // forward. The second flit either ejects too (always visited after
+    // the grant) or turns west (visited after it in some round-robin
+    // phases), at every phase.
+    for (unsigned phase = 0; phase < net::OpnNetwork::PORTS; ++phase) {
+        for (bool turns : {false, true}) {
+            SCOPED_TRACE(testing::Message() << "phase " << phase
+                                            << " turns " << turns);
+            OpnLockstep ls;
+            for (unsigned i = 0; i < phase; ++i)
+                ASSERT_NO_FATAL_FAILURE(ls.tick());
+            // One tick moves these into a neighbour's input FIFO.
+            ASSERT_NO_FATAL_FAILURE(ls.inject(1, 0, cls));   // 0's E input
+            if (turns)   // down to N-1's N input, then west
+                ASSERT_NO_FATAL_FAILURE(ls.inject(N - 1 - isa::OPN_COLS,
+                                                  N - 2, cls));
+            else         // N-1's W input, ejecting there
+                ASSERT_NO_FATAL_FAILURE(ls.inject(N - 2, N - 1, cls));
+            ASSERT_NO_FATAL_FAILURE(ls.tick());
+            ASSERT_EQ(ls.delivered, 0u);
+            // Every local input holds a flit for its own router, except
+            // node 0's, which heads east while node 0 ejects the flit
+            // on its E input.
+            for (unsigned n = 0; n < N; ++n)
+                ASSERT_NO_FATAL_FAILURE(ls.inject(n, n == 0 ? 1 : n, cls));
+            ASSERT_NO_FATAL_FAILURE(ls.tick());
+            ASSERT_EQ(ls.delivered, N) << "every router ejects at once";
+            for (unsigned i = 0; i < 20; ++i)
+                ASSERT_NO_FATAL_FAILURE(ls.tick());
+            ls.expectDrainedAndEqual();
+        }
+    }
+
     for (u64 seed = 1; seed <= 24; ++seed) {
         SCOPED_TRACE(testing::Message() << "seed " << seed);
         Rng rng(seed);
-        net::OpnNetwork opn;
-        net::ref::OpnNetwork ref;
-        u32 tag = 0;
-        u64 rejected = 0, delivered = 0;
+        OpnLockstep ls;
         auto attempt = [&](unsigned src, unsigned dst) {
-            net::OpnPacket p;
-            p.src = static_cast<u8>(src);
-            p.dst = static_cast<u8>(dst);
-            p.cls = static_cast<net::OpnClass>(rng.below(classes));
-            p.tag = tag++;
-            net::ref::OpnPacket r;
-            r.src = p.src;
-            r.dst = p.dst;
-            r.cls = p.cls;
-            r.tag = p.tag;
-            bool ok = opn.inject(p);
-            ASSERT_EQ(ok, ref.inject(r, 0)) << "inject of tag " << p.tag;
-            rejected += !ok;
+            ls.inject(src, dst, static_cast<net::OpnClass>(
+                                    rng.below(classes)));
         };
         const unsigned ticks = 3000;
         for (unsigned t = 0; t < ticks + 200; ++t) {
-            opn.tick();
-            ref.tick(t);
-            const auto &got = opn.delivered();
-            const auto &want = ref.delivered();
-            ASSERT_EQ(got.size(), want.size()) << "tick " << t;
-            for (size_t i = 0; i < got.size(); ++i) {
-                EXPECT_EQ(got[i].tag, want[i].tag) << "tick " << t;
-                EXPECT_EQ(got[i].hops, want[i].hops) << "tick " << t;
-                EXPECT_EQ(got[i].src, want[i].src);
-                EXPECT_EQ(got[i].dst, want[i].dst);
-                EXPECT_EQ(got[i].cls, want[i].cls);
-            }
-            delivered += got.size();
+            ASSERT_NO_FATAL_FAILURE(ls.tick());
             if (t >= ticks)
                 continue;   // drain phase: no new traffic
             // Phases of 250 ticks cycle through the traffic shapes.
@@ -227,21 +307,17 @@ TEST(Opn, MatchesReferenceRouterUnderRandomTraffic)
                 unsigned dst = static_cast<unsigned>(rng.below(N));
                 if (phase == 1)
                     dst = (t / 250 * 7) % N;   // hotspot sink
-                attempt(src, dst);
+                ASSERT_NO_FATAL_FAILURE(attempt(src, dst));
             }
             if (phase == 2 && rng.chance(0.3)) {
                 // Same-source burst, longer than the local FIFO.
                 for (unsigned k = 0; k < 6; ++k)
-                    attempt(hot, static_cast<unsigned>(rng.below(N)));
+                    ASSERT_NO_FATAL_FAILURE(
+                        attempt(hot, static_cast<unsigned>(rng.below(N))));
             }
         }
-        EXPECT_EQ(opn.packetsSent(), ref.packetsSent());
-        EXPECT_EQ(delivered, opn.packetsSent()) << "drain incomplete";
-        EXPECT_GT(rejected, 0u) << "traffic never filled a FIFO";
-        for (unsigned c = 0; c < classes; ++c) {
-            auto cls = static_cast<net::OpnClass>(c);
-            EXPECT_EQ(opn.hopDist(cls), ref.hopDist(cls)) << "class " << c;
-        }
+        EXPECT_GT(ls.rejected, 0u) << "traffic never filled a FIFO";
+        ls.expectDrainedAndEqual();
     }
 }
 
