@@ -8,15 +8,18 @@
 
 #include "compiler/codegen.hh"
 #include "core/machines.hh"
+#include "func_reference.hh"
 #include "obs/obs.hh"
 #include "uarch/chip_sim.hh"
 #include "wir/interp.hh"
 using namespace trips;
 
 // BM_FuncSim is the historical name tracked in BENCH_simspeed.json
-// baselines; it measures the default engine (pre-decoded). The
-// _legacy/_predecoded pair pins both engines explicitly so the
-// recorded JSON carries the speedup ratio on the same machine/run.
+// baselines; it measures the functional engine (pre-decoded). The
+// _legacy/_predecoded pair times the same compile + functional run on
+// the legacy interpreter (the test oracle, tests/func_reference.hh)
+// and on the engine, so the recorded JSON carries the speedup ratio on
+// the same machine/run.
 static void BM_FuncSim(benchmark::State &state) {
     const auto &w = workloads::find("autocor");
     for (auto _ : state) {
@@ -29,9 +32,13 @@ BENCHMARK(BM_FuncSim)->Unit(benchmark::kMillisecond);
 static void BM_FuncSim_legacy(benchmark::State &state) {
     const auto &w = workloads::find("autocor");
     for (auto _ : state) {
-        auto r = core::runTrips(w, compiler::Options::compiled(), false,
-                                uarch::UarchConfig{},
-                                sim::FuncEngine::Legacy);
+        wir::Module mod;
+        w.build(mod);
+        auto prog =
+            compiler::compileToTrips(mod, compiler::Options::compiled());
+        MemImage mem;
+        wir::Interp::loadGlobals(mod, mem);
+        auto r = sim::ref::refRun(prog, mem);
         benchmark::DoNotOptimize(r.retVal);
     }
 }
@@ -40,9 +47,7 @@ BENCHMARK(BM_FuncSim_legacy)->Unit(benchmark::kMillisecond);
 static void BM_FuncSim_predecoded(benchmark::State &state) {
     const auto &w = workloads::find("autocor");
     for (auto _ : state) {
-        auto r = core::runTrips(w, compiler::Options::compiled(), false,
-                                uarch::UarchConfig{},
-                                sim::FuncEngine::Predecoded);
+        auto r = core::runTrips(w, compiler::Options::compiled(), false);
         benchmark::DoNotOptimize(r.retVal);
     }
 }

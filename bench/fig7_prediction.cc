@@ -1,63 +1,10 @@
 /** Fig. 7: next-block prediction study (configs A, B, H, I). */
 #include "bench_util.hh"
-#include "pred/predictors.hh"
+#include "pred/replay.hh"
 using namespace trips;
 
-namespace {
-
-/** Replays committed blocks into a TRIPS next-block predictor. */
-class NbpObserver : public sim::BlockObserver {
-  public:
-    explicit NbpObserver(const pred::NextBlockConfig &cfg) : nbp(cfg) {}
-    void onBlockCommit(const isa::Block &b,
-                       const sim::BlockRecord &rec) override {
-        if (rec.halts)
-            return;
-        const auto &br = b.insts[rec.branchInst];
-        pred::BranchKind kind =
-            rec.isCall ? pred::BranchKind::Call
-          : rec.isRet ? pred::BranchKind::Ret : pred::BranchKind::Branch;
-        u32 push = rec.isCall ? static_cast<u32>(br.returnBlock) : 0;
-        nbp.update(rec.blockIdx, rec.exitTaken, rec.nextBlock, kind,
-                   push);
-    }
-    pred::NextBlockPredictor nbp;
-};
-
-/** Alpha-21264-style per-branch predictor replay (config A). */
-class AlphaObserver : public sim::BlockObserver {
-  public:
-    void onBlockCommit(const isa::Block &b,
-                       const sim::BlockRecord &rec) override {
-        if (rec.halts)
-            return;
-        ++predictions;
-        // Direction: exit 0 = "taken" arm by convention.
-        bool taken = rec.exitTaken == 0;
-        bool dir = tp.predict(rec.blockIdx);
-        tp.update(rec.blockIdx, taken);
-        u32 tgt;
-        u64 key = (static_cast<u64>(rec.blockIdx) << 3) | rec.exitTaken;
-        bool tgt_ok = btb.lookup(key, tgt) && tgt == rec.nextBlock;
-        if (rec.isRet) {
-            u32 v;
-            tgt_ok = ras.pop(v) && v == rec.nextBlock;
-        }
-        if (rec.isCall) {
-            const auto &br = b.insts[rec.branchInst];
-            ras.push(static_cast<u32>(br.returnBlock));
-        }
-        btb.update(key, rec.nextBlock);
-        if (dir != taken || !tgt_ok)
-            ++mispredictions;
-    }
-    pred::TournamentPredictor tp;
-    pred::SimpleBtb btb{1024};
-    pred::ReturnStack ras{16};
-    u64 predictions = 0, mispredictions = 0;
-};
-
-} // namespace
+using pred::AlphaObserver;
+using pred::NbpObserver;
 
 int main() {
     bench::header("Figure 7: prediction breakdown A/B/H/I",

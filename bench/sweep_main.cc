@@ -78,9 +78,7 @@
  *
  * Common flags: --jobs N (0 = all cores), --seed BASE, --no-cycle,
  * --verify-til (TIL structural verification between backend passes),
- * --grow K (the block-splitting stress ladder, see ShapeConfig),
- * --engine legacy|predecoded (functional-simulator engine; default
- * predecoded, with legacy kept as the bit-identity reference).
+ * --grow K (the block-splitting stress ladder, see ShapeConfig).
  */
 
 #include <chrono>
@@ -137,7 +135,6 @@ struct Args
     bool cycleLevel = true;
     bool repro = false;
     bool verifyTil = false;
-    sim::FuncEngine engine = sim::FuncEngine::Predecoded;
     bool dumpTil = false;
     bool compileStats = false;
     bool chip = false;
@@ -186,7 +183,7 @@ usage()
 {
     std::cerr
         << "usage: sweep_main [--jobs N] [--seed BASE] [--no-cycle]\n"
-        << "                  [--verify-til] [--engine legacy|predecoded]\n"
+        << "                  [--verify-til]\n"
         << "                  [--cache DIR] [--cache-fsck]\n"
         << "                  [--timeout-ms N] [--retries N]\n"
         << "                  [--quarantine FILE]\n"
@@ -207,9 +204,6 @@ usage()
         << "shape flags (fuzz/repro): --grow K --funcs N --top N\n"
         << "  --body N --depth N --trip N --slots N --live N\n"
         << "  --no-float --no-call --no-mem --no-subword\n"
-        << "--engine selects the functional-simulator engine (default\n"
-        << "predecoded; legacy is the reference interpreter the fast\n"
-        << "engine must match bit for bit);\n"
         << "--verify-til runs the TIL structural verifier between\n"
         << "backend passes of every TRIPS compile (fatal on violation);\n"
         << "--grow walks the block-splitting stress ladder.\n"
@@ -288,14 +282,6 @@ parse(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--mix-suite")) {
             a.chip = true;
             a.mixSuite = true;
-        } else if (!std::strcmp(argv[i], "--engine")) {
-            std::string e = val(i);
-            if (e == "legacy")
-                a.engine = sim::FuncEngine::Legacy;
-            else if (e == "predecoded")
-                a.engine = sim::FuncEngine::Predecoded;
-            else
-                usage();
         } else if (!std::strcmp(argv[i], "--verify-til")) {
             a.verifyTil = true;
         } else if (!std::strcmp(argv[i], "--dump-til")) {
@@ -519,7 +505,6 @@ runFuzz(const Args &a)
     harness::DiffOptions opts;
     opts.cycleLevel = a.cycleLevel;
     opts.verifyTil = a.verifyTil;
-    opts.engine = a.engine;
     harness::SweepPool pool(a.jobs);
 
     // Any robustness knob switches to the guarded sweep: structured
@@ -877,7 +862,6 @@ runChipFuzz(const Args &a)
     harness::ShapeConfig shape = a.shape();
     harness::DiffOptions opts;
     opts.verifyTil = a.verifyTil;
-    opts.engine = a.engine;
     opts.chipCores = a.cores ? a.cores : 2;
     opts.chipEngine = chipConfig(a, opts.chipCores).engine;
     opts.chipQuantum = a.quantum;
@@ -927,7 +911,6 @@ runChipRepro(const Args &a)
                         : a.seeds;
     harness::DiffOptions opts;
     opts.verifyTil = a.verifyTil;
-    opts.engine = a.engine;
     opts.chipEngine = chipConfig(a, 0).engine;
     opts.chipQuantum = a.quantum;
     opts.chipThreads = a.threads;
@@ -981,7 +964,7 @@ runRepro(const Args &a)
             o.tilDump = &std::cout;
         MemImage fm, cm;
         auto r = core::runTrips(mod, o, cycle, uarch::UarchConfig{}, &fm,
-                                &cm, a.engine);
+                                &cm);
         std::cout << name << " retVal=" << r.retVal
                   << " blocks=" << r.isa.blocks << " fired=" << r.isa.fired
                   << (r.retVal == golden.retVal ? "" : "  <-- DIVERGES")
@@ -1031,7 +1014,6 @@ runRepro(const Args &a)
     harness::DiffOptions opts;
     opts.cycleLevel = a.cycleLevel;
     opts.verifyTil = a.verifyTil;
-    opts.engine = a.engine;
     auto full = harness::diffOne(a.reproSeed, shape, opts);
     std::cout << (full.ok ? "oracle: ok\n"
                           : "oracle: " + full.divergence + "\n");

@@ -5,8 +5,9 @@
  * diffOne() takes one (seed, shape), generates the WIR module once,
  * and runs it through every model the paper's methodology compares:
  * the WIR interpreter (golden), the RISC baseline under both compiler
- * presets, the TRIPS functional simulator under the compiled and hand
- * presets, and the TRIPS cycle-level simulator. It then cross-checks
+ * presets, the TRIPS functional simulator (its one engine, see
+ * trips/func_sim.hh) under the compiled and hand presets, and the
+ * TRIPS cycle-level simulator. It then cross-checks
  *
  *   - return values: every model against golden;
  *   - memory: the final data-segment image (each generated global,
@@ -67,10 +68,6 @@ struct DiffOptions
     /** Run the TIL structural verifier between backend passes of every
      *  TRIPS compile (fatal on violation); see compiler/til.hh. */
     bool verifyTil = false;
-    /** Functional engine for every FuncSim this oracle constructs.
-     *  Legacy is kept selectable as the bit-identity reference for the
-     *  pre-decoded engine (see trips/predecode.hh). */
-    sim::FuncEngine engine = sim::FuncEngine::Predecoded;
     uarch::UarchConfig ucfg{};
 
     // Chip-mode knobs (diffChipMix / sweepChipDiff).

@@ -22,7 +22,12 @@ IdealSim::onBlockCommit(const Block &block, const BlockRecord &rec)
     }
     lastDispatch = dispatch;
 
-    // Per-instruction timestamps in fire order (a topological order).
+    // Per-instruction timestamps in record order. This relies on the
+    // BlockRecord::fired contract and on nothing more: schedule order is
+    // a topological order of dataflow ∪ LSID chain, so every producer's
+    // finish time is set before its consumers read it, and memory ops
+    // arrive in (LSID, slot) order, so a load sees exactly the
+    // older-LSID stores of its own block in storeReady.
     std::vector<Cycle> finish(block.insts.size(), 0);
     Cycle block_done = dispatch;
     for (const FiredOp &f : rec.fired) {

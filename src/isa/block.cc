@@ -1,6 +1,8 @@
 #include "isa/block.hh"
 
+#include <algorithm>
 #include <array>
+#include <bitset>
 #include <set>
 #include <sstream>
 
@@ -32,6 +34,14 @@ Block::sizeClass() const
 
 namespace {
 
+/** Operand index of an Op0/Op1/Pred target: 0, 1 or 2. */
+unsigned
+operandOf(const Target &t)
+{
+    return t.kind == Target::Kind::Op0 ? 0
+         : t.kind == Target::Kind::Op1 ? 1 : 2;
+}
+
 /** Tracks which operand slots of which instructions have producers. */
 struct OperandCoverage
 {
@@ -60,9 +70,7 @@ struct OperandCoverage
                    << num_insts;
                 return os.str();
             }
-            unsigned operand = t.kind == Target::Kind::Op0 ? 0
-                             : t.kind == Target::Kind::Op1 ? 1 : 2;
-            covered[t.index][operand] = true;
+            covered[t.index][operandOf(t)] = true;
             return "";
           }
           case Target::Kind::Write:
@@ -79,7 +87,129 @@ struct OperandCoverage
     }
 };
 
+/**
+ * A slot fed by two header reads takes two tokens on every instance.
+ * Returns the first such slot's description, or "". Every read target
+ * must already be range-checked.
+ */
+std::string
+doubleReadSlot(const Block &block)
+{
+    // One bit per operand slot (three per instruction), then one per
+    // write slot.
+    std::bitset<3 * MAX_INSTS + MAX_WRITES> fed;
+    for (const auto &r : block.reads) {
+        for (const auto &t : r.targets) {
+            if (!t.valid())
+                continue;
+            const unsigned operand = operandOf(t);
+            const size_t key = t.kind == Target::Kind::Write
+                                   ? 3 * MAX_INSTS + t.index
+                                   : 3 * t.index + operand;
+            if (!fed[key]) {
+                fed.set(key);
+                continue;
+            }
+            std::ostringstream os;
+            if (t.kind == Target::Kind::Write)
+                os << "write slot " << unsigned(t.index);
+            else if (operand == 2)
+                os << "instruction " << unsigned(t.index) << " predicate";
+            else
+                os << "instruction " << unsigned(t.index) << " operand "
+                   << operand;
+            os << " is fed by two header reads";
+            return os.str();
+        }
+    }
+    return "";
+}
+
+/**
+ * Kahn's algorithm over the dataflow edges, plus the LSID chain when
+ * @p lsid_chain is set, writing the schedule to @p sched and returning
+ * its length (short of insts.size() on a cycle). Successors are visited
+ * in target order, chain edge last, from a LIFO stack seeded in slot
+ * order, so the schedule is a fixed function of the block. Works in
+ * fixed buffers: validation runs it on every block of every compile.
+ */
+size_t
+topoOrder(const Block &block, bool lsid_chain,
+          std::array<u16, MAX_INSTS> &sched)
+{
+    const size_t n = block.insts.size();
+    TRIPS_ASSERT(n <= MAX_INSTS, "block ", block.label, " too large");
+    // At most two targets plus one chain successor per instruction.
+    std::array<std::array<u16, 3>, MAX_INSTS> succ;
+    std::array<u8, MAX_INSTS> nsucc{};
+    std::array<u16, MAX_INSTS> indeg{};
+    auto edge = [&](size_t from, u16 to) {
+        succ[from][nsucc[from]++] = to;
+        ++indeg[to];
+    };
+    for (size_t i = 0; i < n; ++i) {
+        for (const auto &t : block.insts[i].targets) {
+            if (t.valid() && t.kind != Target::Kind::Write)
+                edge(i, t.index);
+        }
+    }
+    if (lsid_chain) {
+        std::array<u16, MAX_INSTS> mem_order;
+        size_t m = 0;
+        for (size_t i = 0; i < n; ++i) {
+            if (isMemory(block.insts[i].op))
+                mem_order[m++] = static_cast<u16>(i);
+        }
+        std::sort(mem_order.begin(), mem_order.begin() + m,
+                  [&](u16 a, u16 c) {
+                      if (block.insts[a].lsid != block.insts[c].lsid)
+                          return block.insts[a].lsid < block.insts[c].lsid;
+                      return a < c;
+                  });
+        for (size_t j = 1; j < m; ++j)
+            edge(mem_order[j - 1], mem_order[j]);
+    }
+
+    std::array<u16, MAX_INSTS> stack;
+    size_t top = 0, len = 0;
+    for (size_t i = 0; i < n; ++i) {
+        if (indeg[i] == 0)
+            stack[top++] = static_cast<u16>(i);
+    }
+    while (top) {
+        const u16 i = stack[--top];
+        sched[len++] = i;
+        for (u8 k = 0; k < nsucc[i]; ++k) {
+            if (--indeg[succ[i][k]] == 0)
+                stack[top++] = succ[i][k];
+        }
+    }
+    return len;
+}
+
+/** Lowest slot missing from a schedule of length @p len. */
+size_t
+firstUnscheduled(const std::array<u16, MAX_INSTS> &sched, size_t len,
+                 size_t n)
+{
+    std::array<bool, MAX_INSTS> seen{};
+    for (size_t k = 0; k < len; ++k)
+        seen[sched[k]] = true;
+    size_t i = 0;
+    while (i < n && seen[i])
+        ++i;
+    return i;
+}
+
 } // namespace
+
+std::vector<u16>
+fireSchedule(const Block &block)
+{
+    std::array<u16, MAX_INSTS> sched;
+    const size_t len = topoOrder(block, true, sched);
+    return std::vector<u16>(sched.begin(), sched.begin() + len);
+}
 
 std::string
 validateBlock(const Block &block, i32 num_program_blocks)
@@ -112,6 +242,8 @@ validateBlock(const Block &block, i32 num_program_blocks)
         if (w.reg >= NUM_REGS)
             return "write of out-of-range register";
     }
+    if (auto err = doubleReadSlot(block); !err.empty())
+        return "read: " + err;
 
     u32 store_lsids = 0;
     std::set<unsigned> exits;
@@ -197,6 +329,25 @@ validateBlock(const Block &block, i32 num_program_blocks)
                << unsigned(block.writes[w].reg) << ") has no producer";
             return os.str();
         }
+    }
+
+    // A static fire schedule must exist: the functional simulator walks
+    // every block in this order.
+    const size_t n = block.insts.size();
+    std::array<u16, MAX_INSTS> sched;
+    if (size_t len = topoOrder(block, true, sched); len != n) {
+        std::array<u16, MAX_INSTS> dataflow;
+        if (size_t dlen = topoOrder(block, false, dataflow); dlen != n) {
+            os << "dataflow cycle: instruction "
+               << firstUnscheduled(dataflow, dlen, n)
+               << " is on or behind a cycle of dataflow edges";
+        } else {
+            os << "LSID order contradicts dataflow: instruction "
+               << firstUnscheduled(sched, len, n)
+               << " is on or behind a cycle of dataflow edges and the"
+                  " (LSID, slot) memory chain";
+        }
+        return os.str();
     }
 
     if (!block.placement.empty()) {

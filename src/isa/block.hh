@@ -114,10 +114,23 @@ struct Block
  *
  * Checks: size limits; target fields reference existing slots; every
  * value/predicate operand of every instruction has at least one
- * producer; store mask consistency with store LSIDs; at least one exit;
- * exit numbering dense; placement (if present) respects per-ET capacity.
+ * producer; no operand, predicate or write slot is fed by two header
+ * reads (both would deliver on every instance); store mask consistency
+ * with store LSIDs; at least one exit; exit numbering dense; the
+ * dataflow edges plus the LSID chain are acyclic (fireSchedule() covers
+ * every instruction); placement (if present) respects per-ET capacity.
  */
 std::string validateBlock(const Block &block, i32 num_program_blocks = -1);
+
+/**
+ * Static fire schedule of @p block: a topological order of the graph
+ * made of its dataflow edges (producer before each operand/predicate
+ * consumer) and the LSID chain (memory ops in (LSID, slot) order).
+ * Holds fewer than insts.size() entries when that graph has a cycle.
+ * The block must hold at most MAX_INSTS instructions, and every target
+ * must name an existing instruction slot.
+ */
+std::vector<u16> fireSchedule(const Block &block);
 
 } // namespace trips::isa
 

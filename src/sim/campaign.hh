@@ -43,8 +43,11 @@ namespace trips::sim {
 /** Semantic version of the simulators + compiler. Part of every cache
  *  key: bump on any change that alters simulation results — or could.
  *  sim-3: functional runs moved to the pre-decoded engine; it is
- *  verified bit-identical to legacy, but entries recorded by an older
- *  engine must not outlive the verification that says so. */
+ *  verified bit-identical to the legacy interpreter, but entries
+ *  recorded by an older engine must not outlive the verification that
+ *  says so. The pre-decoded engine is now the only one (the legacy
+ *  interpreter is the test oracle, tests/func_reference.hh); that
+ *  change moved no result, so sim-3 stands. */
 constexpr const char *SIM_VERSION = "tripsim-sim-3";
 
 /** SHA-256 of `dump_stats --all` stdout, pinned together with

@@ -10,11 +10,17 @@
  * order. A block commits when every write slot and every store-mask
  * LSID has completed and exactly one branch has fired.
  *
+ * There is one engine: every block instance is one walk over the
+ * block's static fire schedule (see predecode.hh). Program::finalize
+ * guarantees the schedule exists, so no block is run any other way.
+ *
  * The simulator exposes a BlockObserver stream of per-block dynamic
  * records (fired instructions with operand provenance, memory addresses,
  * exits). The ISA-evaluation stats (paper §4), the next-block predictor
  * study (Fig. 7), and the ideal-machine limit study (Fig. 10) are all
- * observers of this stream.
+ * observers of this stream. With observers attached, run() rebuilds
+ * each committed instance's record from the same walk's state; with
+ * none attached it builds nothing.
  */
 
 #ifndef TRIPSIM_TRIPS_FUNC_SIM_HH
@@ -22,7 +28,6 @@
 
 #include <array>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "isa/program.hh"
@@ -64,7 +69,14 @@ struct BlockRecord
     bool isRet = false;
     bool halts = false;
     u16 branchInst = 0;          ///< slot of the firing branch
-    std::vector<FiredOp> fired;  ///< in fire order
+    /**
+     * Fired instructions in schedule order: a topological order of the
+     * block's dataflow edges ∪ LSID chain (isa::fireSchedule), so every
+     * instruction producer precedes its consumers and memory ops appear
+     * in (LSID, slot) order. Consumers may rely on exactly this and on
+     * nothing more specific about the order.
+     */
+    std::vector<FiredOp> fired;
     /** Per write slot: producing inst (or PROD_NONE) and nullness. */
     std::vector<i16> writeProducer;
     std::vector<bool> writeIsNull;
@@ -119,28 +131,14 @@ struct Checkpoint;
 struct DecodedBlock;
 class DecodedProgram;
 
-/**
- * Execution-engine selection. Both engines are architecturally
- * bit-identical (retVal, memory, ISA stats, committed blocks); the
- * legacy interpreter stays compiled and reachable as the bit-identity
- * reference for the pre-decoded fast path (see predecode.hh).
- */
-enum class FuncEngine : u8 {
-    Legacy,      ///< per-instance token-scatter interpreter
-    Predecoded,  ///< pre-decoded threaded-code fast path (default)
-};
-
 class FuncSim
 {
   public:
     /** Register holding the architectural return value by convention. */
     static constexpr unsigned RETVAL_REG = 3;
 
-    FuncSim(const isa::Program &prog, MemImage &mem,
-            FuncEngine engine = FuncEngine::Predecoded);
+    FuncSim(const isa::Program &prog, MemImage &mem);
     ~FuncSim();
-
-    FuncEngine engine() const { return engineSel; }
 
     /** Attach an observer of committed blocks (not owned). */
     void addObserver(BlockObserver *obs) { observers.push_back(obs); }
@@ -183,55 +181,48 @@ class FuncSim
     const std::array<u64, isa::NUM_REGS> &regs() const { return regfile; }
 
     /**
-     * Decoded-block cache accounting (predecoded engine; all zero
-     * under the legacy engine). Deliberately *not* part of IsaStats:
-     * the two engines must produce byte-identical stats, and cache
-     * footprint is a property of the engine, not the program.
+     * Decoded-block cache accounting. Deliberately *not* part of
+     * IsaStats: cache footprint is a property of the engine, not the
+     * program.
      */
     u64 decodedBlocks() const;
     u64 decodedBytes() const;
-    /** Blocks with no static schedule (legacy-interpreter fallback). */
-    u64 decodedFallbacks() const;
+    /** Blocks run without a static schedule: always 0, since every
+     *  valid block has one (kept for the benchmark's pinned counter). */
+    u64 decodedFallbacks() const { return 0; }
 
   private:
-    struct BlockMeta;
     struct Scratch;
 
-    /** Post-commit control transfer of a fast-path block instance. */
+    /** Post-commit control transfer of one block instance. */
     struct FastExit
     {
         u32 nextBlock = 0;
         i32 returnBlock = -1;
+        u16 branch = 0;  ///< schedule index of the fired branch
         bool isCall = false;
         bool isRet = false;
     };
 
     /**
-     * Execute one block instance; returns the record (owned by the
-     * simulator and reused across blocks, so the per-block dataflow
-     * buffers are allocated once, not per block).
-     */
-    BlockRecord &executeBlock(u32 bidx);
-
-    /**
-     * Pre-decoded fast path: one indexed walk over the block's static
-     * fire schedule. Used only when no observer is attached and the
-     * block is decodable (see predecode.hh); architecturally and
-     * statistically bit-identical to executeBlock().
+     * Execute one block instance: one indexed walk over the block's
+     * static fire schedule (see predecode.hh). Leaves the instance's
+     * result/state arrays in the scratch buffers for buildRecord().
      */
     FastExit executeBlockFast(u32 bidx, DecodedBlock &d);
-    const BlockMeta &meta(u32 bidx);
+
+    /** Fill workRec for the instance executeBlockFast just ran. */
+    void buildRecord(u32 bidx, const DecodedBlock &d, const FastExit &fx,
+                     u32 next, bool halts);
 
     const isa::Program &prog;
     MemImage &mem;
     std::array<u64, isa::NUM_REGS> regfile{};
     std::vector<u32> callStack;
     std::vector<BlockObserver *> observers;
-    std::vector<std::optional<BlockMeta>> metas;
     std::unique_ptr<Scratch> scratch;
-    FuncEngine engineSel;
     std::unique_ptr<DecodedProgram> decoded;
-    BlockRecord workRec;
+    BlockRecord workRec;  ///< observed mode only; reused across blocks
     IsaStats stats;
 
     // Resumable-execution cursor (see run()/snapshot()/restore()).

@@ -1,7 +1,6 @@
 #include "trips/predecode.hh"
 
-#include <algorithm>
-
+#include "support/error.hh"
 #include "trips/exec_core.hh"
 
 namespace trips::sim {
@@ -38,6 +37,7 @@ DecodedBlock::bytes() const
     total += readReg.size() + writeReg.size();
     total += writeSrc.size() * sizeof(SrcRef);
     total += (targetBlock.size() + returnBlock.size()) * sizeof(i32);
+    total += origSlot.size() * sizeof(u16);
     total += memoFst.size();
     return total;
 }
@@ -52,63 +52,20 @@ decodeBlock(const Block &b)
     d.numWrites = static_cast<u16>(b.writes.size());
     d.storeMask = b.storeMask;
 
-    // The fast engine's scratch buffers are sized to the architectural
-    // limits; a block that somehow exceeds them (only possible for a
-    // hand-built invalid program) takes the legacy fallback instead.
+    // The engine's scratch buffers are sized to the architectural
+    // limits, and the walk needs a static schedule. validateBlock
+    // guarantees both, so only a block mutated after Program::finalize
+    // can fail here.
+    auto unschedulable = [&](const char *why) {
+        TRIPS_THROW(ErrCode::InvalidArgument, Subsys::Sim, "block ",
+                    b.label, " cannot be decoded: ", why);
+    };
     if (n > isa::MAX_INSTS || b.reads.size() > isa::MAX_READS ||
         b.writes.size() > isa::MAX_WRITES)
-        return d;
-
-    // Memory issue order: (LSID, slot), exactly as the legacy engine.
-    std::vector<u16> memOrder;
-    for (size_t i = 0; i < n; ++i) {
-        if (isMemory(b.insts[i].op))
-            memOrder.push_back(static_cast<u16>(i));
-    }
-    std::sort(memOrder.begin(), memOrder.end(), [&](u16 a, u16 c) {
-        if (b.insts[a].lsid != b.insts[c].lsid)
-            return b.insts[a].lsid < b.insts[c].lsid;
-        return a < c;
-    });
-
-    // Topological fire schedule over dataflow arcs (producer before
-    // each operand/predicate consumer) plus the LSID chain (memory ops
-    // serialize in issue order). Kahn's algorithm; a cycle leaves the
-    // schedule short and the block falls back to the legacy engine.
-    std::vector<std::vector<u16>> succ(n);
-    std::vector<u16> indeg(n, 0);
-    for (size_t i = 0; i < n; ++i) {
-        for (const auto &t : b.insts[i].targets) {
-            u8 slot = slotOf(t);
-            if (slot < 3) {
-                succ[i].push_back(t.index);
-                ++indeg[t.index];
-            }
-        }
-    }
-    for (size_t j = 1; j < memOrder.size(); ++j) {
-        succ[memOrder[j - 1]].push_back(memOrder[j]);
-        ++indeg[memOrder[j]];
-    }
-
-    std::vector<u16> sched;
-    sched.reserve(n);
-    std::vector<u16> stack;
-    for (size_t i = 0; i < n; ++i) {
-        if (indeg[i] == 0)
-            stack.push_back(static_cast<u16>(i));
-    }
-    while (!stack.empty()) {
-        u16 i = stack.back();
-        stack.pop_back();
-        sched.push_back(i);
-        for (u16 s : succ[i]) {
-            if (--indeg[s] == 0)
-                stack.push_back(s);
-        }
-    }
+        unschedulable("it exceeds the block-format limits");
+    const std::vector<u16> sched = isa::fireSchedule(b);
     if (sched.size() != n)
-        return d;
+        unschedulable("its dataflow edges and LSID chain form a cycle");
 
     // Renumber into schedule order: position in the walk IS the
     // instruction index from here on. Header read r becomes result
@@ -135,9 +92,9 @@ decodeBlock(const Block &b)
             note(t, static_cast<SrcRef>(n + r));
     }
     for (size_t i = 0; i < n; ++i) {
-        // Stores and branches never deliver tokens in the legacy
-        // engine (their fire paths have no outputs), so any encoded
-        // targets they carry must not become producers here either.
+        // Stores and branches produce no token, so any encoded targets
+        // they carry (validateBlock rejects them; a block mutated after
+        // finalize may have them) must not become producers.
         const OpClass cls = opInfo(b.insts[i].op).cls;
         if (cls == OpClass::Store || cls == OpClass::Branch)
             continue;
@@ -146,10 +103,9 @@ decodeBlock(const Block &b)
     }
 
     // Encode each producer list as a SrcRef; multi-producer slots spill
-    // into the merge pool. Two header reads into one slot deliver twice
-    // on *every* instance — the legacy engine panics at runtime, so such
-    // a block takes the fallback to reproduce that exactly.
-    bool ok = true;
+    // into the merge pool (at most one entry per target plus one count
+    // per slot, far below SRC_PAYLOAD). Two header reads into one slot
+    // would deliver twice on *every* instance; validateBlock rejects it.
     auto encodeSlot = [&](const std::vector<SrcRef> &prods) -> SrcRef {
         if (prods.empty())
             return SRC_NONE_SLOT;
@@ -158,11 +114,8 @@ decodeBlock(const Block &b)
         unsigned reads = 0;
         for (SrcRef p : prods)
             reads += p >= n;
-        if (reads > 1 ||
-            d.mergePool.size() + prods.size() + 1 > SRC_PAYLOAD) {
-            ok = false;
-            return SRC_NONE_SLOT;
-        }
+        if (reads > 1)
+            unschedulable("one slot is fed by two header reads");
         SrcRef ref =
             static_cast<SrcRef>(SRC_MERGE | d.mergePool.size());
         d.mergePool.push_back(static_cast<SrcRef>(prods.size()));
@@ -185,6 +138,7 @@ decodeBlock(const Block &b)
     d.insts.resize(n + 1);
     d.targetBlock.resize(n);
     d.returnBlock.resize(n);
+    d.origSlot = sched;
     for (size_t k = 0; k < n; ++k) {
         const auto &in = b.insts[sched[k]];
         const auto &info = opInfo(in.op);
@@ -199,10 +153,9 @@ decodeBlock(const Block &b)
         di.src0 = encodeSlot(slotProd[3 * k + 0]);
         di.src1 = encodeSlot(slotProd[3 * k + 1]);
         di.srcP = encodeSlot(slotProd[3 * k + 2]);
-        // Stores and branches deliver nothing in the legacy engine
-        // (their fire paths skip the target loop), so encoded targets
-        // on them must not count as operand messages either —
-        // mirroring the producer-note exclusion above.
+        // Stores and branches deliver nothing, so encoded targets on
+        // them must not count as operand messages either — mirroring
+        // the producer-note exclusion above.
         u16 msgs = 0;
         if (info.cls != OpClass::Store && info.cls != OpClass::Branch) {
             for (const auto &t : in.targets)
@@ -248,9 +201,7 @@ decodeBlock(const Block &b)
         d.writeSrc[w] = encodeSlot(writeProd[w]);
     }
 
-    d.usable = ok;
-    if (ok)
-        d.memoFst.assign(DecodedBlock::MEMO_WAYS * n, 0);
+    d.memoFst.assign(DecodedBlock::MEMO_WAYS * n, 0);
     d.insts.shrink_to_fit();
     d.mergePool.shrink_to_fit();
     return d;
@@ -263,8 +214,6 @@ DecodedProgram::decode(u32 idx)
         std::make_unique<DecodedBlock>(decodeBlock(prog_.block(idx)));
     ++decoded_;
     bytes_ += blocks_[idx]->bytes();
-    if (!blocks_[idx]->usable)
-        ++fallback_;
 }
 
 } // namespace trips::sim

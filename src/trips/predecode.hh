@@ -1,13 +1,15 @@
 /**
  * @file
- * Pre-decoded threaded-code representation of TRIPS blocks.
+ * Pre-decoded threaded-code representation of TRIPS blocks: the one
+ * functional engine's block format.
  *
- * The legacy functional simulator re-interprets every block instance
- * through a token-scatter loop: each fired instruction pushes its
- * consumers onto a ready queue, consumers are re-examined once per
- * delivered token, and memory operations poll a separate LSID queue.
- * That dynamic discovery work is identical for every instance of the
- * same (immutable) block, so it can be done once.
+ * A token-scatter interpreter re-discovers every block instance's
+ * dataflow: each fired instruction pushes its consumers onto a ready
+ * queue, consumers are re-examined once per delivered token, and memory
+ * operations poll a separate LSID queue. That discovery work is
+ * identical for every instance of the same block, so it is done once.
+ * (Such an interpreter survives as the test oracle,
+ * tests/func_reference.hh.)
  *
  * decodeBlock() lowers a block into a dense threaded-code record built
  * around two ideas:
@@ -26,10 +28,9 @@
  *      header reads (n..n+numReads-1), a dedicated always-empty slot
  *      for unproducible operands, or a merge list when several
  *      predicated producers statically target one slot (scan for the
- *      one that fired; two firing is the same malformed-program panic
- *      the legacy engine raises on double delivery). Steady-state
- *      execution therefore writes one result word and one state byte
- *      per instruction and never materializes tokens at all.
+ *      one that fired; two firing is a malformed-program panic).
+ *      Steady-state execution therefore writes one result word and one
+ *      state byte per instruction and never materializes tokens at all.
  *
  * Each instruction is one packed 24-byte DecInst (predicate mode,
  * materialized immediate, memory width, LSID, operand SrcRefs, and a
@@ -41,12 +42,12 @@
  * very few distinct patterns per block, so it is memoized in a small
  * set-associative table keyed by those bytes.
  *
- * Blocks whose combined graph is cyclic (a later-LSID memory op
- * feeding an earlier one, or a dataflow cycle), or that statically
- * double-deliver from header reads, have no static schedule; they are
- * marked !usable and the simulator falls back to the legacy
- * interpreter for exactly those blocks, preserving its behavior
- * (including the completion panic) bit for bit.
+ * Every valid block decodes: isa::validateBlock (run by
+ * Program::finalize) rejects blocks whose combined graph is cyclic (a
+ * later-LSID memory op feeding an earlier one, or a dataflow cycle) and
+ * slots fed by two header reads. A block mutated after finalize into
+ * one of those shapes makes decodeBlock throw TripsError{InvalidArgument,
+ * Sim}; no block is ever run another way.
  *
  * DecodedProgram is the per-Program decoded-block cache (the analogue
  * of the cycle-level InstMeta cache): blocks decode lazily on first
@@ -144,9 +145,6 @@ struct StatsDelta
 /** A block decoded for the fast engine (see file comment). */
 struct DecodedBlock
 {
-    /** A static fire schedule exists (the combined graph is acyclic
-     *  and no slot is statically double-delivered by reads). */
-    bool usable = false;
     u16 n = 0;           ///< compute instructions
     u16 numReads = 0;
     u16 numWrites = 0;
@@ -164,8 +162,8 @@ struct DecodedBlock
 
     /** Every SRC_MERGE ref in the block (operand, predicate, or write
      *  slot). The engine re-resolves each after the walk so a doubly
-     *  delivered slot panics even when its consumer never fired —
-     *  exactly the legacy engine's delivery-time safety net. */
+     *  delivered slot panics even when its consumer never fired — a
+     *  token interpreter's delivery-time check. */
     std::vector<SrcRef> mergeRefs;
 
     std::vector<u8> readReg;       ///< register per header read slot
@@ -176,6 +174,10 @@ struct DecodedBlock
     // branch per instance touches them).
     std::vector<i32> targetBlock;  ///< branch destination (BRO/CALLO)
     std::vector<i32> returnBlock;  ///< continuation block (CALLO)
+
+    /** Block slot of each schedule index (isa::fireSchedule order);
+     *  read only when building observer records. */
+    std::vector<u16> origSlot;
 
     /**
      * Direct-mapped stats-delta memo. Key = the instance's raw
@@ -194,7 +196,9 @@ struct DecodedBlock
     u64 bytes() const;
 };
 
-/** Decode one block (pure function of the immutable block). */
+/** Decode one block (pure function of the immutable block). Throws
+ *  TripsError{InvalidArgument, Sim} when @p b has no static schedule
+ *  (see file comment). */
 DecodedBlock decodeBlock(const isa::Block &b);
 
 /** Lazy per-Program cache of decoded blocks. */
@@ -218,8 +222,6 @@ class DecodedProgram
     // Cache accounting.
     u64 blocksDecoded() const { return decoded_; }
     u64 bytes() const { return bytes_; }
-    /** Blocks with no static schedule (legacy-interpreter fallback). */
-    u64 fallbackBlocks() const { return fallback_; }
 
   private:
     void decode(u32 idx);
@@ -228,7 +230,6 @@ class DecodedProgram
     std::vector<std::unique_ptr<DecodedBlock>> blocks_;
     u64 decoded_ = 0;
     u64 bytes_ = 0;
-    u64 fallback_ = 0;
 };
 
 } // namespace trips::sim

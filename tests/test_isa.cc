@@ -173,6 +173,101 @@ TEST(IsaBlock, ValidatorCatchesEtOverflow)
     EXPECT_NE(err.find("reservation"), std::string::npos) << err;
 }
 
+TEST(IsaBlock, ValidatorCatchesDataflowCycle)
+{
+    // GENS -> m0 -> m1, plus m1 -> m0: a cycle through both MOVs.
+    Block b;
+    b.label = "bad";
+    Instruction gen;
+    gen.op = Opcode::GENS;
+    gen.targets[0] = {Target::Kind::Op0, 1};
+    b.insts.push_back(gen);
+    Instruction m0;
+    m0.op = Opcode::MOV;
+    m0.targets[0] = {Target::Kind::Op0, 2};
+    b.insts.push_back(m0);
+    Instruction m1;
+    m1.op = Opcode::MOV;
+    m1.targets[0] = {Target::Kind::Op0, 1};
+    b.insts.push_back(m1);
+    Instruction ret;
+    ret.op = Opcode::RET;
+    b.insts.push_back(ret);
+    auto err = validateBlock(b);
+    EXPECT_NE(err.find("dataflow cycle"), std::string::npos) << err;
+    EXPECT_EQ(fireSchedule(b).size(), 2u);  // GENS and RET only
+    b.insts[2].targets[0] = {};
+    EXPECT_EQ(validateBlock(b), "");
+    EXPECT_EQ(fireSchedule(b).size(), b.insts.size());
+}
+
+TEST(IsaBlock, ValidatorCatchesLsidOrderCycle)
+{
+    // A load at LSID 1 computes the address of a store at LSID 0: the
+    // dataflow is acyclic, but with the LSID chain it is not.
+    Block b;
+    b.label = "bad";
+    Instruction gen;
+    gen.op = Opcode::GENS;
+    gen.imm = 64;
+    gen.targets[0] = {Target::Kind::Op0, 1};
+    b.insts.push_back(gen);
+    Instruction ld;
+    ld.op = Opcode::LD;
+    ld.lsid = 1;
+    ld.targets[0] = {Target::Kind::Op0, 2};
+    b.insts.push_back(ld);
+    Instruction st;
+    st.op = Opcode::SD;
+    st.lsid = 0;
+    b.insts.push_back(st);
+    Instruction val;
+    val.op = Opcode::GENS;
+    val.targets[0] = {Target::Kind::Op1, 2};
+    b.insts.push_back(val);
+    Instruction ret;
+    ret.op = Opcode::RET;
+    b.insts.push_back(ret);
+    b.storeMask = 1u << 0;
+    auto err = validateBlock(b);
+    EXPECT_NE(err.find("LSID order"), std::string::npos) << err;
+    b.insts[1].lsid = 0;
+    b.insts[2].lsid = 1;
+    b.storeMask = 1u << 1;
+    EXPECT_EQ(validateBlock(b), "");
+}
+
+TEST(IsaBlock, ValidatorCatchesTwoHeaderReadsIntoOneSlot)
+{
+    Block b;
+    b.label = "bad";
+    b.reads.push_back(ReadInst{4, {{Target::Kind::Op0, 0}, {}}});
+    b.reads.push_back(ReadInst{5, {{Target::Kind::Op0, 0}, {}}});
+    Instruction mov;
+    mov.op = Opcode::MOV;
+    mov.targets[0] = {Target::Kind::Write, 0};
+    b.insts.push_back(mov);
+    Instruction ret;
+    ret.op = Opcode::RET;
+    b.insts.push_back(ret);
+    b.writes.push_back(WriteInst{3});
+    auto err = validateBlock(b);
+    EXPECT_NE(err.find("operand 0 is fed by two header reads"),
+              std::string::npos)
+        << err;
+    // The same for a write slot.
+    b.reads[0].targets[0] = {Target::Kind::Write, 0};
+    b.reads[1].targets[0] = {Target::Kind::Write, 0};
+    b.insts[0].targets[0] = {};
+    b.insts[0].op = Opcode::NULLW;
+    err = validateBlock(b);
+    EXPECT_NE(err.find("write slot 0 is fed by two header reads"),
+              std::string::npos)
+        << err;
+    b.reads.pop_back();
+    EXPECT_EQ(validateBlock(b), "");
+}
+
 TEST(IsaProgram, AddressesAndCodeBytes)
 {
     Program p;
