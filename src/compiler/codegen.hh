@@ -36,6 +36,7 @@
 
 #include "compiler/options.hh"
 #include "isa/program.hh"
+#include "support/fields.hh"
 #include "wir/wir.hh"
 
 namespace trips::compiler {
@@ -73,7 +74,22 @@ struct PassCounters
     u64 nullNodes = 0;   ///< NULLW nodes after the pass
     u64 testNodes = 0;   ///< test nodes after the pass
     u64 addedNodes = 0;  ///< nodes this pass added
+
+    bool operator==(const PassCounters &) const = default;
 };
+
+/** PassCounters' field list (support/fields.hh). */
+template <FieldsOf<PassCounters> S, class V>
+void
+forEachField(S &s, V &&v)
+{
+    v("tilBlocks", s.tilBlocks);
+    v("tilNodes", s.tilNodes);
+    v("movNodes", s.movNodes);
+    v("nullNodes", s.nullNodes);
+    v("testNodes", s.testNodes);
+    v("addedNodes", s.addedNodes);
+}
 
 /** Aggregate per-compilation statistics (reported by benches/tests). */
 struct CompileStats
@@ -102,7 +118,34 @@ struct CompileStats
     /** Per-pass snapshots from each function's successful attempt,
      *  indexed by PassId and summed across functions. */
     PassCounters pass[NUM_PASSES];
+
+    bool operator==(const CompileStats &) const = default;
 };
+
+/** CompileStats' field list (support/fields.hh), in campaign-record
+ *  byte order. */
+template <FieldsOf<CompileStats> S, class V>
+void
+forEachField(S &s, V &&v)
+{
+    v("functions", s.functions);
+    v("regions", s.regions);
+    v("blocks", s.blocks);
+    v("totalInsts", s.totalInsts);
+    v("movInsts", s.movInsts);
+    v("nullInsts", s.nullInsts);
+    v("testInsts", s.testInsts);
+    v("splitBlocks", s.splitBlocks);
+    v("spillWrites", s.spillWrites);
+    v("spillReads", s.spillReads);
+    v("overflowRetries", s.overflowRetries);
+    v("spilledValues", s.spilledValues);
+    v("spillSlots", s.spillSlots);
+    v("spillLoads", s.spillLoads);
+    v("spillStores", s.spillStores);
+    v("spillRounds", s.spillRounds);
+    v("pass", s.pass);
+}
 
 /**
  * Compile a WIR module to a TRIPS program. Programs that exceed

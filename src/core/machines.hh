@@ -30,7 +30,25 @@ struct TripsRun
     bool cycleLevel = false;
     bool funcFuelExhausted = false;
     uarch::UarchResult uarch;
+
+    bool operator==(const TripsRun &) const = default;
 };
+
+/** TripsRun's field list (support/fields.hh), in campaign-record order.
+ *  The record writes uarch only for cycle-level runs, so its envelope
+ *  (sim/campaign.cc) is written by hand around putFields. */
+template <FieldsOf<TripsRun> S, class V>
+void
+forEachField(S &s, V &&v)
+{
+    v("retVal", s.retVal);
+    v("funcFuelExhausted", s.funcFuelExhausted);
+    v("cycleLevel", s.cycleLevel);
+    v("codeBytes", s.codeBytes);
+    v("isa", s.isa);
+    v("compile", s.compile);
+    v("uarch", s.uarch);
+}
 
 struct RiscRun
 {

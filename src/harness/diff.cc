@@ -326,33 +326,11 @@ diffChipMix(const std::vector<u64> &seeds, const ShapeConfig &shape,
     }
 
     // The relaxed-quantum engine's determinism pin: an identical
-    // (mix, config, quantum) must replay to the cycle and counter.
+    // (mix, config, quantum) must replay every ChipResult field.
     if (opts.chipEngine == uarch::ChipEngine::Parallel) {
         std::vector<MemImage> replayMem(n);
-        auto cr2 = runChip(replayMem);
-        std::ostringstream os;
-        if (cr2.cycles != cr.cycles) {
-            os << "parallel replay cycles " << cr2.cycles << " != "
-               << cr.cycles;
-        } else if (cr2.uncore.requests != cr.uncore.requests ||
-                   cr2.uncore.l2Hits != cr.uncore.l2Hits ||
-                   cr2.uncore.bankConflicts != cr.uncore.bankConflicts ||
-                   cr2.uncore.bankConflictCycles !=
-                       cr.uncore.bankConflictCycles ||
-                   cr2.ocn.totalPackets() != cr.ocn.totalPackets() ||
-                   cr2.ocn.flitHops != cr.ocn.flitHops) {
-            os << "parallel replay diverged on uncore statistics";
-        } else {
-            for (size_t c = 0; c < n; ++c) {
-                if (cr2.cores[c].cycles != cr.cores[c].cycles) {
-                    os << "parallel replay core " << c << " cycles "
-                       << cr2.cores[c].cycles << " != "
-                       << cr.cores[c].cycles;
-                    break;
-                }
-            }
-        }
-        if (fail(os.str()))
+        std::string d = firstDifference(cr, runChip(replayMem));
+        if (!d.empty() && fail("parallel replay diverged at " + d))
             return res;
     }
     return res;
@@ -388,12 +366,6 @@ diffCheckpointRestore(const wir::Module &mod, u64 every,
         return res;
     }
 
-    auto isaBytes = [](const sim::IsaStats &s) {
-        sim::ByteWriter w;
-        sim::putIsaStats(w, s);
-        return w.data();
-    };
-
     // A walker functional sim pauses at each boundary and snapshots.
     MemImage walkMem;
     wir::Interp::loadGlobals(mod, walkMem);
@@ -419,7 +391,7 @@ diffCheckpointRestore(const wir::Module &mod, u64 every,
         if (rck.nextBlock != ck.nextBlock ||
             rck.blocksExecuted != ck.blocksExecuted ||
             rck.regfile != ck.regfile || rck.callStack != ck.callStack ||
-            isaBytes(rck.stats) != isaBytes(ck.stats))
+            rck.stats != ck.stats)
             fail("serialize/deserialize round trip altered state");
         std::string md =
             sim::diffMemImages(ck.mem, rck.mem, "round-trip mem");
@@ -442,8 +414,9 @@ diffCheckpointRestore(const wir::Module &mod, u64 every,
                  std::to_string(rf.blocksExecuted()) +
                  " blocks != straight " +
                  std::to_string(straightFunc.blocksExecuted()));
-        if (isaBytes(rr.stats) != isaBytes(sf.stats))
-            fail("restored functional ISA stats differ from straight");
+        if (rr.stats != sf.stats)
+            fail("restored functional ISA stats differ from straight: " +
+                 firstDifference(rr.stats, sf.stats));
         md = sim::diffMemImages(funcMem, rMem, "restored functional mem");
         if (!md.empty())
             fail(md);

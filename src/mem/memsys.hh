@@ -104,7 +104,27 @@ struct UncoreStats
     u64 dramRequests = 0, dramRowHits = 0;
     std::vector<u64> requestsByCore;
     std::vector<u64> conflictsByCore;
+
+    bool operator==(const UncoreStats &) const = default;
 };
+
+/** UncoreStats' field list (support/fields.hh). */
+template <FieldsOf<UncoreStats> S, class V>
+void
+forEachField(S &s, V &&v)
+{
+    v("requests", s.requests);
+    v("l2Hits", s.l2Hits);
+    v("l2Misses", s.l2Misses);
+    v("l2Writebacks", s.l2Writebacks);
+    v("l1Writebacks", s.l1Writebacks);
+    v("bankConflicts", s.bankConflicts);
+    v("bankConflictCycles", s.bankConflictCycles);
+    v("dramRequests", s.dramRequests);
+    v("dramRowHits", s.dramRowHits);
+    v("requestsByCore", s.requestsByCore);
+    v("conflictsByCore", s.conflictsByCore);
+}
 
 /**
  * The request/response port surface a core sees of the uncore. The

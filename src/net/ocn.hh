@@ -65,15 +65,19 @@ struct OcnStats
     /** Sum over packets of flits x hops: the occupancy numerator. */
     u64 flitHops = 0;
 
-    u64
-    totalPackets() const
-    {
-        u64 t = 0;
-        for (u64 p : packets)
-            t += p;
-        return t;
-    }
+    bool operator==(const OcnStats &) const = default;
 };
+
+/** OcnStats' field list (support/fields.hh). */
+template <FieldsOf<OcnStats> S, class V>
+void
+forEachField(S &s, V &&v)
+{
+    v("packets", s.packets);
+    v("bytes", s.bytes);
+    v("hops", s.hops);
+    v("flitHops", s.flitHops);
+}
 
 class OcnModel
 {

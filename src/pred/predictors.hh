@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "support/common.hh"
+#include "support/fields.hh"
 
 namespace trips::pred {
 
@@ -147,6 +148,18 @@ struct NextBlockStats
             ? static_cast<double>(mispredictions) / predictions : 0.0;
     }
 };
+
+/** NextBlockStats' field list (support/fields.hh). */
+template <FieldsOf<NextBlockStats> S, class V>
+void
+forEachField(S &s, V &&v)
+{
+    v("predictions", s.predictions);
+    v("mispredictions", s.mispredictions);
+    v("exitMispredicts", s.exitMispredicts);
+    v("targetMispredicts", s.targetMispredicts);
+    v("callRetMispredicts", s.callRetMispredicts);
+}
 
 class NextBlockPredictor
 {

@@ -21,6 +21,12 @@
  * entries (bad CRC, other format version, hash collision) are treated
  * as misses and overwritten, never trusted.
  *
+ * Inside a hand-written envelope, the record's IsaStats, CompileStats
+ * and UarchResult are laid out in their forEachField order
+ * (support/fields.hh, sim::putFields). Changing a list changes the
+ * format: bump CAMPAIGN_FORMAT and re-pin
+ * ResultSchema.CampaignRecordLayoutIsPinnedAndRoundTrips.
+ *
  * SIM_VERSION must be bumped whenever simulator or compiler semantics
  * change observably — it is the cache's only defense against serving
  * results from an older model.
@@ -58,7 +64,8 @@ constexpr const char *SIM_VERSION = "tripsim-sim-3";
 constexpr const char *SIM_VERSION_STATS_SHA256 =
     "c9b8d4193b23897506746f904da6de073854278e55b3f259ab896269409d7f6c";
 
-/** Byte-format version of the cached TripsRun record. */
+/** Byte-format version of the cached TripsRun record (the envelope
+ *  plus the result structs' forEachField lists). */
 constexpr u32 CAMPAIGN_FORMAT = 2;
 constexpr u32 CAMPAIGN_MAGIC = 0x4e525254;  // "TRRN" little-endian
 

@@ -18,10 +18,14 @@
  *
  * with every field little-endian at fixed width and memory pages
  * sorted by page index, so the same state always produces the same
- * bytes. Loading rejects wrong magic, unknown versions, truncation
- * and CRC mismatches with a structured TripsError (never UB, never a
- * process kill): campaign drivers catch and quarantine, CLI mains let
- * it surface as an error exit.
+ * bytes. The IsaStats in the payload are laid out in their
+ * forEachField order (support/fields.hh, sim::putFields); changing
+ * that list bumps CKPT_VERSION and re-pins
+ * ResultSchema.CheckpointStatsLayoutIsPinnedAndRoundTrips. Loading
+ * rejects wrong magic, unknown versions, truncation and CRC mismatches
+ * with a structured TripsError (never UB, never a process kill):
+ * campaign drivers catch and quarantine, CLI mains let it surface as
+ * an error exit.
  */
 
 #ifndef TRIPSIM_SIM_CHECKPOINT_HH
@@ -72,9 +76,14 @@ void saveCheckpoint(const std::string &path, const Checkpoint &ck);
  *  or invalid. */
 Checkpoint loadCheckpoint(const std::string &path);
 
-// Field-level helpers shared with the campaign cache's record format.
-void putIsaStats(ByteWriter &w, const IsaStats &s);
-IsaStats getIsaStats(ByteReader &r);
+/** IsaStats' bytes (putFields); the name perfbench's result digest
+ *  calls. */
+inline void
+putIsaStats(ByteWriter &w, const IsaStats &s)
+{
+    putFields(w, s);
+}
+
 void putMemImage(ByteWriter &w, const MemImage &m);
 MemImage getMemImage(ByteReader &r);
 

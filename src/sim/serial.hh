@@ -9,7 +9,9 @@
  * Every multi-byte field is written little-endian at fixed width, so
  * the resulting byte streams are stable across hosts and builds — a
  * checkpoint or cache entry written by one binary is readable by any
- * other binary of the same format version.
+ * other binary of the same format version. Result structs are written
+ * and read by putFields/getFields, walking the struct's forEachField
+ * list (support/fields.hh).
  */
 
 #ifndef TRIPSIM_SIM_SERIAL_HH
@@ -21,6 +23,7 @@
 
 #include "support/common.hh"
 #include "support/error.hh"
+#include "support/fields.hh"
 
 namespace trips::sim {
 
@@ -231,6 +234,78 @@ class ByteReader
     const u8 *end;
     const char *what;
 };
+
+/**
+ * Write every member of @p s in its forEachField order. The C++ type
+ * picks the width: bool -> u8, u32, u64, i64, double -> f64. Arrays and
+ * vectors are a u32 entry count followed by the entries.
+ */
+template <class T>
+void
+putFields(ByteWriter &w, const T &s)
+{
+    if constexpr (HasFields<T>) {
+        forEachField(s, [&w](const char *, const auto &m) {
+            putFields(w, m);
+        });
+    } else if constexpr (Sequence<T>) {
+        w.u32v(static_cast<u32>(std::size(s)));
+        for (const auto &e : s)
+            putFields(w, e);
+    } else if constexpr (std::same_as<T, bool>) {
+        w.u8v(s);
+    } else if constexpr (std::same_as<T, u32>) {
+        w.u32v(s);
+    } else if constexpr (std::same_as<T, u64>) {
+        w.u64v(s);
+    } else if constexpr (std::same_as<T, i64>) {
+        w.i64v(s);
+    } else {
+        static_assert(std::same_as<T, double>, "field type has no width");
+        w.f64v(s);
+    }
+}
+
+/**
+ * Inverse of putFields. A fixed array whose entry count differs from
+ * this build's fails the parse, naming the member (@p name is the
+ * member being read), as does a vector longer than the bytes left.
+ */
+template <class T>
+void
+getFields(ByteReader &r, T &s, const char *name)
+{
+    if constexpr (HasFields<T>) {
+        forEachField(s, [&r](const char *member, auto &m) {
+            getFields(r, m, member);
+        });
+    } else if constexpr (Sequence<T>) {
+        u32 n = r.u32v();
+        if constexpr (requires { s.resize(n); }) {
+            if (n > r.remaining())
+                r.failParse(std::string(name) + ": truncated",
+                            ErrCode::Truncated);
+            s.resize(n);
+        } else if (n != std::size(s)) {
+            r.failParse(std::string(name) + ": " + std::to_string(n) +
+                        " entries, this build has " +
+                        std::to_string(std::size(s)));
+        }
+        for (auto &e : s)
+            getFields(r, e, name);
+    } else if constexpr (std::same_as<T, bool>) {
+        s = r.u8v();
+    } else if constexpr (std::same_as<T, u32>) {
+        s = r.u32v();
+    } else if constexpr (std::same_as<T, u64>) {
+        s = r.u64v();
+    } else if constexpr (std::same_as<T, i64>) {
+        s = r.i64v();
+    } else {
+        static_assert(std::same_as<T, double>, "field type has no width");
+        s = r.f64v();
+    }
+}
 
 /** 128-bit FNV-1a content hash, fed through the ByteWriter field
  *  helpers so key material serializes exactly like file payloads. */

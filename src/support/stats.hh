@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "support/common.hh"
+#include "support/fields.hh"
 
 namespace trips {
 
@@ -38,7 +39,9 @@ class Counter
 class Distribution
 {
   public:
-    explicit Distribution(unsigned num_buckets = 16)
+    Distribution() : Distribution(16) {}
+
+    explicit Distribution(unsigned num_buckets)
         : buckets(num_buckets, 0)
     {}
 
@@ -50,24 +53,34 @@ class Distribution
             ? static_cast<unsigned>(buckets.size() - 1)
             : static_cast<unsigned>(value);
         buckets[idx] += weight;
-        total += weight;
         weighted_sum += value * weight;
     }
 
     u64 count(unsigned bucket) const { return buckets.at(bucket); }
-    u64 samples() const { return total; }
     unsigned numBuckets() const { return static_cast<unsigned>(buckets.size()); }
+
+    /** Total sample weight (the sum of the buckets). */
+    u64
+    samples() const
+    {
+        u64 total = 0;
+        for (u64 c : buckets)
+            total += c;
+        return total;
+    }
 
     /** Fraction of samples in a bucket, 0 if empty. */
     double
     fraction(unsigned bucket) const
     {
+        u64 total = samples();
         return total ? static_cast<double>(buckets.at(bucket)) / total : 0.0;
     }
 
     double
     mean() const
     {
+        u64 total = samples();
         return total ? static_cast<double>(weighted_sum) / total : 0.0;
     }
 
@@ -82,7 +95,6 @@ class Distribution
                 ? static_cast<unsigned>(buckets.size() - 1) : b;
             buckets[idx] += o.buckets[b];
         }
-        total += o.total;
         weighted_sum += o.weighted_sum;
     }
 
@@ -90,7 +102,6 @@ class Distribution
     reset()
     {
         std::fill(buckets.begin(), buckets.end(), 0);
-        total = 0;
         weighted_sum = 0;
     }
 
@@ -104,6 +115,7 @@ class Distribution
     u64
     percentile(double q) const
     {
+        u64 total = samples();
         if (!total)
             return 0;
         // ceil(q/100 * N) without floating-point edge drift for the
@@ -127,28 +139,25 @@ class Distribution
     u64 p90() const { return percentile(90); }
     u64 p99() const { return percentile(99); }
 
-    // Raw state access for exact serialization (campaign cache):
-    // clamped samples make the weighted sum unrecoverable from the
-    // buckets alone, so it round-trips explicitly.
+    /** Sum of sample values x weights. Clamped samples make it
+     *  unrecoverable from the buckets, so it is state of its own. */
     u64 weightedSum() const { return weighted_sum; }
 
-    /** Every bucket, the sample count and the weighted sum match. */
+    /** Every bucket and the weighted sum match. */
     bool operator==(const Distribution &) const = default;
 
-    /** Rebuild from serialized raw state (inverse of the accessors). */
-    void
-    restoreRaw(std::vector<u64> counts, u64 weighted)
+    /** Field list (support/fields.hh): the bucket counts, then the
+     *  weighted sum, in campaign-record byte order. */
+    template <FieldsOf<Distribution> S, class V>
+    friend void
+    forEachField(S &d, V &&v)
     {
-        buckets = std::move(counts);
-        total = 0;
-        for (u64 c : buckets)
-            total += c;
-        weighted_sum = weighted;
+        v("count", d.buckets);
+        v("weightedSum", d.weighted_sum);
     }
 
   private:
     std::vector<u64> buckets;
-    u64 total = 0;
     u64 weighted_sum = 0;
 };
 

@@ -117,7 +117,33 @@ struct IsaStats
     {
         return blocks ? static_cast<double>(fetched) / blocks : 0.0;
     }
+
+    bool operator==(const IsaStats &) const = default;
 };
+
+/** IsaStats' field list (support/fields.hh), in the byte order of the
+ *  checkpoint and the campaign record. */
+template <FieldsOf<IsaStats> S, class V>
+void
+forEachField(S &s, V &&v)
+{
+    v("blocks", s.blocks);
+    v("fetched", s.fetched);
+    v("fired", s.fired);
+    v("useful", s.useful);
+    v("moves", s.moves);
+    v("fetchedNotExecuted", s.fetchedNotExecuted);
+    v("executedNotUsed", s.executedNotUsed);
+    v("usefulArith", s.usefulArith);
+    v("usefulMemory", s.usefulMemory);
+    v("usefulControl", s.usefulControl);
+    v("usefulTests", s.usefulTests);
+    v("readsFetched", s.readsFetched);
+    v("writesCommitted", s.writesCommitted);
+    v("loadsExecuted", s.loadsExecuted);
+    v("storesCommitted", s.storesCommitted);
+    v("operandMessages", s.operandMessages);
+}
 
 /** Result of running a whole program. */
 struct FuncResult

@@ -61,7 +61,23 @@ struct ChipResult
     net::OcnStats ocn;          ///< per-class packets/bytes/hops
     double ocnOccupancy = 0;    ///< mean flit-hops per link-cycle
     u64 l2DirtyDrained = 0;     ///< dirty L2 lines swept at end of run
+
+    bool operator==(const ChipResult &) const = default;
 };
+
+/** ChipResult's field list (support/fields.hh). */
+template <FieldsOf<ChipResult> S, class V>
+void
+forEachField(S &s, V &&v)
+{
+    v("cores", s.cores);
+    v("cycles", s.cycles);
+    v("anyFuelExhausted", s.anyFuelExhausted);
+    v("uncore", s.uncore);
+    v("ocn", s.ocn);
+    v("ocnOccupancy", s.ocnOccupancy);
+    v("l2DirtyDrained", s.l2DirtyDrained);
+}
 
 class QuantumEngine;
 

@@ -113,6 +113,45 @@ struct UarchResult
     bool operator==(const UarchResult &) const = default;
 };
 
+/** UarchResult's field list (support/fields.hh), in campaign-record
+ *  byte order. */
+template <FieldsOf<UarchResult> S, class V>
+void
+forEachField(S &s, V &&v)
+{
+    v("retVal", s.retVal);
+    v("fuelExhausted", s.fuelExhausted);
+    v("cycles", s.cycles);
+    v("blocksCommitted", s.blocksCommitted);
+    v("blocksFlushed", s.blocksFlushed);
+    v("instsFetched", s.instsFetched);
+    v("instsFired", s.instsFired);
+    v("branchMispredicts", s.branchMispredicts);
+    v("callRetMispredicts", s.callRetMispredicts);
+    v("loadViolationFlushes", s.loadViolationFlushes);
+    v("icacheMissStalls", s.icacheMissStalls);
+    v("l1dHits", s.l1dHits);
+    v("l1dMisses", s.l1dMisses);
+    v("l1iHits", s.l1iHits);
+    v("l1iMisses", s.l1iMisses);
+    v("l2Hits", s.l2Hits);
+    v("l2Misses", s.l2Misses);
+    v("l1dWritebacks", s.l1dWritebacks);
+    v("l2Writebacks", s.l2Writebacks);
+    v("loadsExecuted", s.loadsExecuted);
+    v("storesCommitted", s.storesCommitted);
+    v("bytesL1", s.bytesL1);
+    v("bytesL2", s.bytesL2);
+    v("bytesMem", s.bytesMem);
+    v("avgBlocksInFlight", s.avgBlocksInFlight);
+    v("avgInstsInFlight", s.avgInstsInFlight);
+    v("peakInstsInFlight", s.peakInstsInFlight);
+    v("predictor", s.predictor);
+    v("opnHops", s.opnHops);
+    v("opnPackets", s.opnPackets);
+    v("localBypasses", s.localBypasses);
+}
+
 class CycleSim
 {
   public:

@@ -4,14 +4,17 @@
  * serialization round trips, corrupted/versioned-file rejection, the
  * checkpoint-restore differential oracle (restored functional and
  * warm-started cycle-level runs must equal the straight runs), sampled
- * simulation accuracy against full-detail runs, and the campaign
- * cache's cold/warm bit-identity.
+ * simulation accuracy against full-detail runs, the campaign
+ * cache's cold/warm bit-identity, and the result schema: the
+ * forEachField walkers against operator== and the pinned byte layout
+ * of the campaign record and the checkpoint stats.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <set>
 
 #include "core/machines.hh"
 #include "harness/diff.hh"
@@ -19,10 +22,12 @@
 #include "sim/campaign.hh"
 #include "sim/checkpoint.hh"
 #include "sim/sampling.hh"
+#include "testutil.hh"
 #include "uarch/chip_sim.hh"
 #include "wir/interp.hh"
 
 using namespace trips;
+using testutil::expectSame;
 
 namespace {
 
@@ -53,14 +58,6 @@ checkpointAfter(const char *name, u64 blocks)
     return ck;
 }
 
-std::vector<u8>
-isaBytes(const sim::IsaStats &s)
-{
-    sim::ByteWriter w;
-    sim::putIsaStats(w, s);
-    return w.data();
-}
-
 /** Re-seal a tampered checkpoint image so only the targeted field is
  *  invalid (the CRC stays correct). */
 std::vector<u8>
@@ -89,7 +86,7 @@ TEST(Checkpoint, SerializeDeserializeRoundTripIsExact)
     EXPECT_EQ(rt.blocksExecuted, ck.blocksExecuted);
     EXPECT_EQ(rt.regfile, ck.regfile);
     EXPECT_EQ(rt.callStack, ck.callStack);
-    EXPECT_EQ(isaBytes(rt.stats), isaBytes(ck.stats));
+    expectSame(rt.stats, ck.stats);
     EXPECT_EQ(sim::diffMemImages(rt.mem, ck.mem), "");
 
     // Deterministic format: same state, same bytes.
@@ -316,7 +313,7 @@ TEST(Sampling, FunctionalArchitectureIsExactUnderSampling)
     auto s = sim::runSampled(prog, smem, uarch::UarchConfig{}, scfg);
     EXPECT_EQ(s.retVal, fr.retVal);
     EXPECT_EQ(s.totalBlocks, fr.stats.blocks);
-    EXPECT_EQ(isaBytes(s.isa), isaBytes(fr.stats));
+    expectSame(s.isa, fr.stats);
     EXPECT_EQ(sim::diffMemImages(plain, smem), "");
 }
 
@@ -356,38 +353,6 @@ TEST(SamplingDeathTest, InvalidConfigsAreFatal)
 // Campaign cache
 // ---------------------------------------------------------------------
 
-namespace {
-
-/** Field-by-field equality of two TripsRun records (bit-exact, via
- *  the record serializer's own byte image). */
-void
-expectSameRun(const core::TripsRun &a, const core::TripsRun &b)
-{
-    EXPECT_EQ(a.retVal, b.retVal);
-    EXPECT_EQ(a.codeBytes, b.codeBytes);
-    EXPECT_EQ(a.cycleLevel, b.cycleLevel);
-    EXPECT_EQ(isaBytes(a.isa), isaBytes(b.isa));
-    EXPECT_EQ(a.compile.totalInsts, b.compile.totalInsts);
-    EXPECT_EQ(a.compile.blocks, b.compile.blocks);
-    EXPECT_EQ(a.uarch.cycles, b.uarch.cycles);
-    EXPECT_EQ(a.uarch.blocksCommitted, b.uarch.blocksCommitted);
-    EXPECT_EQ(a.uarch.blocksFlushed, b.uarch.blocksFlushed);
-    EXPECT_EQ(a.uarch.l2Misses, b.uarch.l2Misses);
-    EXPECT_EQ(a.uarch.opnPackets, b.uarch.opnPackets);
-    EXPECT_DOUBLE_EQ(a.uarch.avgInstsInFlight, b.uarch.avgInstsInFlight);
-    for (size_t c = 0; c < a.uarch.opnHops.size(); ++c) {
-        EXPECT_EQ(a.uarch.opnHops[c].samples(),
-                  b.uarch.opnHops[c].samples());
-        EXPECT_DOUBLE_EQ(a.uarch.opnHops[c].mean(),
-                         b.uarch.opnHops[c].mean());
-    }
-    EXPECT_EQ(a.uarch.predictor.predictions, b.uarch.predictor.predictions);
-    EXPECT_EQ(a.uarch.predictor.mispredictions,
-              b.uarch.predictor.mispredictions);
-}
-
-} // namespace
-
 TEST(Campaign, WarmRerunIsBitIdenticalAndSkipsSimulation)
 {
     std::string dir = testing::TempDir() + "/campaign_cache_test";
@@ -403,7 +368,7 @@ TEST(Campaign, WarmRerunIsBitIdenticalAndSkipsSimulation)
     auto r2 = warm.runTrips(w, compiler::Options::compiled(), true);
     EXPECT_EQ(warm.cache().hits(), 1u);
     EXPECT_EQ(warm.cache().misses(), 0u);
-    expectSameRun(r1, r2);
+    expectSame(r1, r2);
 }
 
 TEST(Campaign, KeySeparatesEveryInputDimension)
@@ -464,33 +429,49 @@ TEST(Campaign, CrcValidButMalformedEntryIsAMissNotAFatal)
 {
     // A record can carry a valid seal yet not parse under this build
     // (written by a binary with different structural constants, e.g.
-    // another pass count). That must degrade to a miss + re-run, not
-    // take the campaign down.
+    // another pass count). That must degrade to a miss counted as
+    // stale + re-run, not take the campaign down.
     std::string dir = testing::TempDir() + "/campaign_malformed_test";
     std::filesystem::remove_all(dir);
     wir::Module mod = harness::generate(5, harness::ShapeConfig{});
     auto opts = compiler::Options::compiled();
     auto key = sim::campaignKey(mod, opts, uarch::UarchConfig{}, false);
-
-    sim::Campaign c1(dir);
-    c1.runTrips(mod, opts, false);
-
-    // Truncate the payload and re-seal: CRC passes, parsing cannot.
     std::string path = dir + "/" + key.hex() + ".trun";
-    std::vector<u8> bytes;
-    ASSERT_TRUE(sim::readFile(path, bytes));
-    bytes.resize(bytes.size() - 40);
-    u32 crc = sim::crc32(bytes.data(), bytes.size() - 4);
-    for (unsigned i = 0; i < 4; ++i)
-        bytes[bytes.size() - 4 + i] = static_cast<u8>(crc >> (8 * i));
-    ASSERT_TRUE(sim::sealIntact(bytes.data(), bytes.size()));
-    sim::writeFileAtomic(path, bytes);
+    const i64 golden = core::runGolden(mod, nullptr).retVal;
 
-    sim::Campaign c2(dir);
-    auto r = c2.runTrips(mod, opts, false);
-    EXPECT_EQ(c2.cache().hits(), 0u);
-    EXPECT_EQ(c2.cache().misses(), 1u);
-    EXPECT_EQ(r.retVal, core::runGolden(mod, nullptr).retVal);
+    // Store a record, rewrite it with @p tamper and re-seal it: the
+    // CRC passes, parsing cannot.
+    auto expectStaleMiss = [&](const char *what, auto tamper) {
+        SCOPED_TRACE(what);
+        sim::Campaign c1(dir);
+        c1.runTrips(mod, opts, false);
+        std::vector<u8> bytes;
+        ASSERT_TRUE(sim::readFile(path, bytes));
+        tamper(bytes);
+        bytes = resealed(std::move(bytes));
+        ASSERT_TRUE(sim::sealIntact(bytes.data(), bytes.size()));
+        ASSERT_TRUE(sim::writeFileAtomic(path, bytes).ok());
+
+        sim::Campaign c2(dir);
+        auto r = c2.runTrips(mod, opts, false);
+        EXPECT_EQ(c2.cache().hits(), 0u);
+        EXPECT_EQ(c2.cache().misses(), 1u);
+        EXPECT_EQ(c2.cache().stale(), 1u);
+        EXPECT_EQ(c2.cache().corrupt(), 0u);
+        EXPECT_EQ(r.retVal, golden);
+    };
+
+    expectStaleMiss("truncated payload", [](std::vector<u8> &bytes) {
+        bytes.resize(bytes.size() - 40);
+    });
+
+    // A functional-only record ends with CompileStats::pass: a u32
+    // count, NUM_PASSES x 6 u64 counters, then the 4-byte seal.
+    expectStaleMiss("another pass count", [](std::vector<u8> &bytes) {
+        size_t at = bytes.size() - 4 - (4 + compiler::NUM_PASSES * 6 * 8);
+        ASSERT_EQ(bytes[at], compiler::NUM_PASSES);
+        bytes[at] = compiler::NUM_PASSES + 1;
+    });
 }
 
 TEST(Campaign, DisabledCacheIsPassThrough)
@@ -502,4 +483,308 @@ TEST(Campaign, DisabledCacheIsPassThrough)
     EXPECT_EQ(off.cache().hits(), 0u);
     EXPECT_EQ(off.cache().misses(), 0u);
     EXPECT_EQ(off.report(), "campaign-cache: disabled");
+}
+
+// ---------------------------------------------------------------------
+// Result schema: every result struct lists its fields once
+// (support/fields.hh); serialization and comparison walk that list.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Call @p f(path, leaf) on every leaf of @p x in forEachField order,
+ *  the path spelled as firstDifference spells it. */
+template <class T, class F>
+void
+forEachLeaf(T &x, const std::string &path, F &f)
+{
+    if constexpr (HasFields<T>) {
+        forEachField(x, [&](const char *name, auto &m) {
+            forEachLeaf(m, path.empty() ? name : path + "." + name, f);
+        });
+    } else if constexpr (Sequence<T>) {
+        for (size_t i = 0; i < std::size(x); ++i)
+            forEachLeaf(x[i], path + "[" + std::to_string(i) + "]", f);
+    } else {
+        f(path, x);
+    }
+}
+
+/** Give every leaf of @p x a distinct non-zero value (bools: true)
+ *  hashed from its path, so reordering a list changes the bytes. */
+template <class T>
+T
+canonical(T x)
+{
+    auto fill = [](const std::string &path, auto &leaf) {
+        using L = std::remove_reference_t<decltype(leaf)>;
+        u64 h = 0xcbf29ce484222325ULL;
+        for (char c : path)
+            h = (h ^ static_cast<u8>(c)) * 0x100000001b3ULL;
+        if constexpr (std::is_floating_point_v<L>)
+            leaf = static_cast<L>(h >> 20) + 0.25;
+        else
+            leaf = static_cast<L>(h >> 2 | 1);
+    };
+    forEachLeaf(x, "", fill);
+    return x;
+}
+
+std::vector<std::string>
+leafPaths(auto x)
+{
+    std::vector<std::string> paths;
+    auto add = [&paths](const std::string &p, auto &) {
+        paths.push_back(p);
+    };
+    forEachLeaf(x, "", add);
+    return paths;
+}
+
+/** Canonical cycle-level run: every leaf distinct, cycleLevel true. */
+core::TripsRun
+canonicalRun()
+{
+    core::TripsRun run = canonical(core::TripsRun());
+    EXPECT_TRUE(run.cycleLevel);
+    return run;
+}
+
+/** A chip result whose vectors are non-empty. */
+uarch::ChipResult
+sizedChip()
+{
+    uarch::ChipResult c;
+    c.cores.resize(2);
+    c.uncore.requestsByCore.resize(2);
+    c.uncore.conflictsByCore.resize(2);
+    return c;
+}
+
+/** Converts to any member type, so T{AnyMember{}, ...} compiles iff
+ *  the aggregate T has at least that many members (a C array member
+ *  takes one per element, by brace elision). */
+struct AnyMember
+{
+    template <class M>
+    operator M() const;
+};
+
+template <class T, class... A>
+constexpr size_t
+memberCount(A... a)
+{
+    if constexpr (requires { T{a..., AnyMember{}}; })
+        return memberCount<T>(a..., AnyMember{});
+    else
+        return sizeof...(A);
+}
+
+/** Members visited by T's forEachField, counted like memberCount. */
+template <class T>
+size_t
+listedMembers(const T &x)
+{
+    size_t n = 0;
+    forEachField(x, [&n](const char *, const auto &m) {
+        using M = std::remove_cvref_t<decltype(m)>;
+        n += std::is_array_v<M> ? std::extent_v<M> : 1;
+    });
+    return n;
+}
+
+/**
+ * The walkers agree with operator== on @p shape: every member of an
+ * aggregate is listed, changing any one
+ * leaf of the canonical object breaks ==, and firstDifference names
+ * exactly that leaf; putFields/getFields round-trip to an == object.
+ */
+template <class T>
+void
+expectWalkersMatchEquality(const T &shape)
+{
+    const T canon = canonical(shape);
+    if constexpr (std::is_aggregate_v<T>) {
+        EXPECT_EQ(listedMembers(canon), memberCount<T>())
+            << "a member is missing from forEachField";
+    }
+    const auto paths = leafPaths(canon);
+    ASSERT_FALSE(paths.empty());
+    EXPECT_EQ(std::set<std::string>(paths.begin(), paths.end()).size(),
+              paths.size()) << "leaf paths are not unique";
+    EXPECT_EQ(firstDifference(canon, canon), "");
+
+    for (size_t k = 0; k < paths.size(); ++k) {
+        T changed = canon;
+        size_t i = 0;
+        auto bump = [&](const std::string &, auto &leaf) {
+            if (i++ != k)
+                return;
+            if constexpr (std::is_same_v<std::remove_reference_t<
+                                             decltype(leaf)>, bool>)
+                leaf = !leaf;
+            else
+                leaf += 1;
+        };
+        forEachLeaf(changed, "", bump);
+        EXPECT_FALSE(changed == canon) << paths[k];
+        std::string d = firstDifference(changed, canon);
+        EXPECT_EQ(d.substr(0, paths[k].size() + 2), paths[k] + ": ") << d;
+    }
+
+    sim::ByteWriter w;
+    sim::putFields(w, canon);
+    sim::ByteReader r(w.data().data(), w.size(), "schema test");
+    T back = shape;
+    sim::getFields(r, back, "canon");
+    r.expectEnd();
+    expectSame(back, canon);
+}
+
+/** A struct whose list leaves out one member. */
+struct PartlyListed
+{
+    u64 listed = 0;
+    u64 unlisted = 0;
+
+    bool operator==(const PartlyListed &) const = default;
+};
+
+template <FieldsOf<PartlyListed> S, class V>
+void
+forEachField(S &s, V &&v)
+{
+    v("listed", s.listed);
+}
+
+} // namespace
+
+TEST(ResultSchema, WalkersMatchEqualityOnEveryStruct)
+{
+    {
+        SCOPED_TRACE("IsaStats");
+        expectWalkersMatchEquality(sim::IsaStats());
+    }
+    {
+        SCOPED_TRACE("PassCounters");
+        expectWalkersMatchEquality(compiler::PassCounters());
+    }
+    {
+        SCOPED_TRACE("CompileStats");
+        expectWalkersMatchEquality(compiler::CompileStats());
+    }
+    {
+        SCOPED_TRACE("NextBlockStats");
+        expectWalkersMatchEquality(pred::NextBlockStats());
+    }
+    {
+        SCOPED_TRACE("UarchResult");
+        expectWalkersMatchEquality(uarch::UarchResult());
+    }
+    {
+        SCOPED_TRACE("UncoreStats");
+        expectWalkersMatchEquality(sizedChip().uncore);
+    }
+    {
+        SCOPED_TRACE("OcnStats");
+        expectWalkersMatchEquality(net::OcnStats());
+    }
+    {
+        SCOPED_TRACE("ChipResult");
+        expectWalkersMatchEquality(sizedChip());
+    }
+    {
+        SCOPED_TRACE("TripsRun");
+        expectWalkersMatchEquality(core::TripsRun());
+    }
+}
+
+TEST(ResultSchema, FirstDifferenceReportsShapeAndUnlistedMembers)
+{
+    const auto chip = canonical(sizedChip());
+    auto longer = chip;
+    longer.cores.emplace_back();
+    EXPECT_EQ(firstDifference(chip, longer), "cores: 2 vs 3 entries");
+
+    auto run = canonicalRun();
+    auto hop = run;
+    hop.uarch.opnHops[3].sample(2);
+    const u64 c = run.uarch.opnHops[3].count(2);
+    EXPECT_EQ(firstDifference(run, hop),
+              "uarch.opnHops[3].count[2]: " + std::to_string(c) + " vs " +
+                  std::to_string(c + 1));
+
+    PartlyListed a, b;
+    b.unlisted = 1;
+    EXPECT_EQ(firstDifference(a, b), "a field outside forEachField differs");
+}
+
+TEST(ResultSchema, ArrayCountMismatchNamesTheField)
+{
+    sim::ByteWriter w;
+    sim::putFields(w, canonical(compiler::CompileStats()));
+    auto bytes = w.data();
+    // The pass[] count prefix follows the 16 scalars (8 u32, 8 u64).
+    const size_t at = 8 * 4 + 8 * 8;
+    ASSERT_EQ(bytes[at], compiler::NUM_PASSES);
+    bytes[at] = compiler::NUM_PASSES + 1;
+    sim::ByteReader r(bytes.data(), bytes.size(), "compile stats");
+    compiler::CompileStats back;
+    try {
+        sim::getFields(r, back, "compile");
+        FAIL() << "a wrong pass count parsed";
+    } catch (const sim::SerialError &e) {
+        EXPECT_NE(e.message().find("pass: 8 entries, this build has 7"),
+                  std::string::npos) << e.message();
+    }
+}
+
+// The byte layout of the campaign record and of a checkpoint's stats
+// is the forEachField order. These pins were produced by the
+// hand-written serializers the field lists replaced: a change to them
+// is a format change and must bump CAMPAIGN_FORMAT (campaign record)
+// or CKPT_VERSION (checkpoint) and re-pin here.
+static_assert(sim::CAMPAIGN_FORMAT == 2 && sim::CKPT_VERSION == 1,
+              "format bumped: re-pin the layouts below");
+constexpr size_t RECORD_PIN_BYTES = 1999;
+constexpr u32 RECORD_PIN_CRC = 4112266728;
+constexpr size_t CKPT_PIN_BYTES = 1204;
+constexpr u32 CKPT_PIN_CRC = 838218811;
+
+TEST(ResultSchema, CampaignRecordLayoutIsPinnedAndRoundTrips)
+{
+    std::string dir = testing::TempDir() + "/campaign_schema_test";
+    std::filesystem::remove_all(dir);
+    const sim::CacheKey key{0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+    const core::TripsRun run = canonicalRun();
+
+    sim::CampaignCache cache(dir);
+    cache.store(key, run);
+    std::vector<u8> bytes;
+    ASSERT_TRUE(sim::readFile(dir + "/" + key.hex() + ".trun", bytes));
+    EXPECT_EQ(bytes.size(), RECORD_PIN_BYTES);
+    EXPECT_EQ(sim::crc32(bytes.data(), bytes.size() - 4), RECORD_PIN_CRC);
+
+    core::TripsRun back;
+    ASSERT_TRUE(cache.lookup(key, back));
+    expectSame(back, run);
+}
+
+TEST(ResultSchema, CheckpointStatsLayoutIsPinnedAndRoundTrips)
+{
+    sim::Checkpoint ck;
+    ck.nextBlock = 7;
+    ck.blocksExecuted = 1234;
+    ck.callStack = {3, 5};
+    ck.stats = canonical(sim::IsaStats());
+
+    auto bytes = sim::serializeCheckpoint(ck);
+    EXPECT_EQ(bytes.size(), CKPT_PIN_BYTES);
+    EXPECT_EQ(sim::crc32(bytes.data(), bytes.size() - 4), CKPT_PIN_CRC);
+
+    sim::Checkpoint back = sim::deserializeCheckpoint(bytes);
+    expectSame(back.stats, ck.stats);
+    EXPECT_EQ(back.nextBlock, ck.nextBlock);
+    EXPECT_EQ(back.blocksExecuted, ck.blocksExecuted);
+    EXPECT_EQ(back.callStack, ck.callStack);
 }

@@ -25,7 +25,6 @@
 #include "harness/diff.hh"
 #include "support/error.hh"
 #include "testutil.hh"
-#include "uarch_expect.hh"
 #include "uarch/chip_sim.hh"
 #include "wir/builder.hh"
 #include "wir/interp.hh"
@@ -77,7 +76,7 @@ runSolo(const isa::Program &prog, const Module &mod,
     return s;
 }
 
-using testutil::expectSameUarch;
+using testutil::expectSame;
 
 } // namespace
 
@@ -103,7 +102,7 @@ TEST(ChipSim, OneCoreChipBitIdenticalToSoloCycleSim)
     auto cr = chip.run();
 
     ASSERT_EQ(cr.cores.size(), 1u);
-    expectSameUarch(cr.cores[0], solo.res);
+    expectSame(cr.cores[0], solo.res);
     EXPECT_EQ(cr.cycles, solo.res.cycles);
     // No second core: cross-core contention cannot exist.
     EXPECT_EQ(cr.uncore.bankConflicts, 0u);
@@ -167,14 +166,7 @@ TEST(ChipSim, DualCoreMixMatchesSoloArchitecturallyAndContends)
                   net::OcnClass::Writeback)], 0u);
 
     // Determinism: an identical mix reproduces every statistic.
-    auto cr2 = runChip();
-    EXPECT_EQ(cr1.cycles, cr2.cycles);
-    EXPECT_EQ(cr1.uncore.bankConflicts, cr2.uncore.bankConflicts);
-    EXPECT_EQ(cr1.uncore.bankConflictCycles,
-              cr2.uncore.bankConflictCycles);
-    EXPECT_EQ(cr1.ocn.totalPackets(), cr2.ocn.totalPackets());
-    expectSameUarch(cr1.cores[0], cr2.cores[0]);
-    expectSameUarch(cr1.cores[1], cr2.cores[1]);
+    expectSame(cr1, runChip());
 }
 
 TEST(ChipSim, SameWorkloadOnBothCoresStaysArchitecturallyCorrect)

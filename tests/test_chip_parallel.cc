@@ -20,7 +20,6 @@
 #include "compiler/codegen.hh"
 #include "harness/diff.hh"
 #include "testutil.hh"
-#include "uarch_expect.hh"
 #include "uarch/chip_sim.hh"
 #include "wir/builder.hh"
 #include "wir/interp.hh"
@@ -98,40 +97,7 @@ runChip(const std::vector<std::unique_ptr<MixProgram>> &ps,
     return run;
 }
 
-using testutil::expectSameUarch;
-
-/** Byte-identical chip results: every per-core result, every uncore
- *  counter, every OCN class. */
-void
-expectSameChip(const uarch::ChipResult &a, const uarch::ChipResult &b)
-{
-    ASSERT_EQ(a.cores.size(), b.cores.size());
-    for (size_t i = 0; i < a.cores.size(); ++i)
-        expectSameUarch(a.cores[i], b.cores[i]);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.anyFuelExhausted, b.anyFuelExhausted);
-    EXPECT_EQ(a.l2DirtyDrained, b.l2DirtyDrained);
-    EXPECT_DOUBLE_EQ(a.ocnOccupancy, b.ocnOccupancy);
-
-    EXPECT_EQ(a.uncore.requests, b.uncore.requests);
-    EXPECT_EQ(a.uncore.l2Hits, b.uncore.l2Hits);
-    EXPECT_EQ(a.uncore.l2Misses, b.uncore.l2Misses);
-    EXPECT_EQ(a.uncore.l2Writebacks, b.uncore.l2Writebacks);
-    EXPECT_EQ(a.uncore.l1Writebacks, b.uncore.l1Writebacks);
-    EXPECT_EQ(a.uncore.bankConflicts, b.uncore.bankConflicts);
-    EXPECT_EQ(a.uncore.bankConflictCycles, b.uncore.bankConflictCycles);
-    EXPECT_EQ(a.uncore.dramRequests, b.uncore.dramRequests);
-    EXPECT_EQ(a.uncore.dramRowHits, b.uncore.dramRowHits);
-    EXPECT_EQ(a.uncore.requestsByCore, b.uncore.requestsByCore);
-    EXPECT_EQ(a.uncore.conflictsByCore, b.uncore.conflictsByCore);
-
-    EXPECT_EQ(a.ocn.flitHops, b.ocn.flitHops);
-    for (size_t c = 0; c < net::OCN_NUM_CLASSES; ++c) {
-        EXPECT_EQ(a.ocn.packets[c], b.ocn.packets[c]);
-        EXPECT_EQ(a.ocn.bytes[c], b.ocn.bytes[c]);
-        EXPECT_EQ(a.ocn.hops[c].samples(), b.ocn.hops[c].samples());
-    }
-}
+using testutil::expectSame;
 
 /** Engine-invariant architectural results: retVal, committed block
  *  stream, and the final memory image of every core. */
@@ -176,7 +142,7 @@ TEST(ParallelEngine, OneCoreBitIdenticalToSerial)
 
     auto rs = runChip(ps, serial);
     auto rp = runChip(ps, par);
-    expectSameChip(rs.res, rp.res);
+    expectSame(rs.res, rp.res);
     expectSameArchitecture(ps, rs, rp, "one-core");
 }
 
@@ -194,7 +160,7 @@ TEST(ParallelEngine, SameMixConfigQuantumIsByteIdenticalTwice)
 
     auto r1 = runChip(ps, cfg);
     auto r2 = runChip(ps, cfg);
-    expectSameChip(r1.res, r2.res);
+    expectSame(r1.res, r2.res);
     expectSameArchitecture(ps, r1, r2, "replay");
 
     // The mix really contends (the determinism claim is not vacuous).
@@ -213,7 +179,7 @@ TEST(ParallelEngine, ThreadCapOneVsEightIsIdentical)
     auto r1 = runChip(ps, cfg);
     cfg.threads = 8;
     auto r8 = runChip(ps, cfg);
-    expectSameChip(r1.res, r8.res);
+    expectSame(r1.res, r8.res);
     expectSameArchitecture(ps, r1, r8, "threads");
 }
 
@@ -240,7 +206,7 @@ TEST(ParallelEngine, ArchitecturallyEqualToSerialAcrossQuanta)
                                "quantum=" + std::to_string(q));
         // And each quantum is individually replayable.
         auto rp2 = runChip(ps, par);
-        expectSameChip(rp.res, rp2.res);
+        expectSame(rp.res, rp2.res);
     }
 }
 

@@ -38,7 +38,6 @@
 #include "sim/campaign.hh"
 #include "support/error.hh"
 #include "testutil.hh"
-#include "uarch_expect.hh"
 #include "uarch/chip_sim.hh"
 #include "wir/builder.hh"
 #include "wir/interp.hh"
@@ -77,7 +76,7 @@ countSub(const std::string &hay, const std::string &needle)
     return n;
 }
 
-using testutil::expectSameUarch;
+using testutil::expectSame;
 
 /** Solo run of a compiled module; obs may be null (the baseline). */
 uarch::UarchResult
@@ -283,7 +282,7 @@ TEST(ObsSolo, TracedRunBitIdenticalAndStallsPartitionCycles)
     co.samplePeriod = 1024;
     auto traced = runSoloObserved(prog, mod, &co);
 
-    expectSameUarch(base, traced);
+    expectSame(base, traced);
 
     // Stall attribution is a partition of the run's cycles.
     EXPECT_EQ(stalls.total(), traced.cycles);
@@ -363,7 +362,7 @@ TEST(ObsSolo, WorkloadMatrixBitIdentical)
         co.stalls = &stalls;
         SCOPED_TRACE(e.name);
         auto traced = runSoloObserved(prog, mod, &co);
-        expectSameUarch(base, traced);
+        expectSame(base, traced);
         EXPECT_EQ(stalls.total(), traced.cycles);
     }
 }
@@ -390,7 +389,7 @@ TEST(ObsSolo, FuzzSliceBitIdentical)
         co.stalls = &stalls;
         SCOPED_TRACE("seed " + std::to_string(seed));
         auto traced = runSoloObserved(prog, mod, &co);
-        expectSameUarch(base, traced);
+        expectSame(base, traced);
         EXPECT_EQ(stalls.total(), traced.cycles);
     }
 }
@@ -461,14 +460,7 @@ TEST(ObsChip, SerialAndParallelBitIdenticalTracedVsUntraced)
                          /*sample_period=*/2048, /*stalls=*/true);
         auto traced = runChipObserved(m, cfg, &obs);
 
-        ASSERT_EQ(traced.cores.size(), base.cores.size());
-        for (size_t i = 0; i < base.cores.size(); ++i)
-            expectSameUarch(base.cores[i], traced.cores[i]);
-        EXPECT_EQ(traced.cycles, base.cycles);
-        EXPECT_EQ(traced.uncore.bankConflicts,
-                  base.uncore.bankConflicts);
-        EXPECT_EQ(traced.uncore.bankConflictCycles,
-                  base.uncore.bankConflictCycles);
+        expectSame(base, traced);
 
         // Per-core stall partition, and the chip-level merge.
         u64 cycleSum = 0;
@@ -569,8 +561,7 @@ TEST(Campaign, EmitsCacheHitAndMissInstants)
     const auto &w = workloads::find("vadd");
     auto r1 = campaign.runTrips(w, compiler::Options::hand(), true);
     auto r2 = campaign.runTrips(w, compiler::Options::hand(), true);
-    EXPECT_EQ(r1.uarch.retVal, r2.uarch.retVal);
-    EXPECT_EQ(r1.uarch.cycles, r2.uarch.cycles);
+    expectSame(r1, r2);
 
     std::string tf = scratch("tripsim_obs_campaign_trace.json");
     ASSERT_TRUE(sink.writeFile(tf));

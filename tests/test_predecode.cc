@@ -37,13 +37,7 @@ using namespace trips;
 
 namespace {
 
-std::vector<u8>
-isaBytes(const sim::IsaStats &s)
-{
-    sim::ByteWriter w;
-    sim::putIsaStats(w, s);
-    return w.data();
-}
+using testutil::expectSame;
 
 /** One engine's complete architectural outcome for a program. */
 struct EngineRun
@@ -51,7 +45,7 @@ struct EngineRun
     i64 retVal = 0;
     u64 blocks = 0;
     bool fuelExhausted = false;
-    std::vector<u8> stats;
+    sim::IsaStats stats;
     MemImage mem;
 };
 
@@ -67,7 +61,7 @@ runProduction(const isa::Program &prog, const wir::Module &mod,
     r.retVal = res.retVal;
     r.blocks = fsim.blocksExecuted();
     r.fuelExhausted = res.fuelExhausted;
-    r.stats = isaBytes(res.stats);
+    r.stats = res.stats;
     return r;
 }
 
@@ -82,7 +76,7 @@ runReference(const isa::Program &prog, const wir::Module &mod,
     r.retVal = res.retVal;
     r.blocks = res.stats.blocks;
     r.fuelExhausted = res.fuelExhausted;
-    r.stats = isaBytes(res.stats);
+    r.stats = res.stats;
     return r;
 }
 
@@ -94,7 +88,8 @@ expectIdentical(const EngineRun &ref, const EngineRun &prod,
     EXPECT_EQ(ref.retVal, prod.retVal) << what;
     EXPECT_EQ(ref.blocks, prod.blocks) << what;
     EXPECT_EQ(ref.fuelExhausted, prod.fuelExhausted) << what;
-    EXPECT_EQ(ref.stats, prod.stats) << what << ": ISA stats differ";
+    SCOPED_TRACE(what);
+    expectSame(ref.stats, prod.stats);
     EXPECT_EQ("", sim::diffMemImages(ref.mem, prod.mem, what.c_str()));
 }
 
@@ -428,7 +423,7 @@ TEST(PredecodeEquiv, CheckpointResumesToReference)
         ASSERT_FALSE(rr.fuelExhausted);
         EXPECT_EQ(straight.retVal, rr.retVal);
         EXPECT_EQ(straight.blocks, resumed.blocksExecuted());
-        EXPECT_EQ(straight.stats, isaBytes(rr.stats));
+        expectSame(straight.stats, rr.stats);
         EXPECT_EQ("", sim::diffMemImages(straight.mem, rMem,
                                          "resumed mem"));
     }
@@ -480,7 +475,7 @@ TEST(PredecodeEquiv, ObservedRunResumable)
     }
     ASSERT_TRUE(rewound) << "workload too short to exercise the rewind";
     EXPECT_EQ(sres.retVal, res.retVal);
-    EXPECT_EQ(isaBytes(sres.stats), isaBytes(res.stats));
+    expectSame(sres.stats, res.stats);
     EXPECT_EQ(sRec.bytes, rec.bytes) << "sliced observer stream differs";
     EXPECT_EQ("", sim::diffMemImages(sMem, mem, "observed resume mem"));
 }
@@ -790,11 +785,10 @@ TEST(PredecodeUnit, StoreAndBranchTargetsCountNoOperandMessages)
     // End to end: ISA stats (operandMessages included) stay
     // byte-identical to the oracle's.
     MemImage rmem;
-    const auto ref = isaBytes(sim::ref::refRun(prog, rmem).stats);
+    const auto ref = sim::ref::refRun(prog, rmem).stats;
     MemImage mem;
     sim::FuncSim fsim(prog, mem);
-    EXPECT_EQ(ref, isaBytes(fsim.run().stats))
-        << "ISA stats diverge from the reference";
+    expectSame(ref, fsim.run().stats);
 }
 
 // ---------------------------------------------------------------------

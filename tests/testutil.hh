@@ -2,6 +2,11 @@
  * @file
  * Shared test helpers.
  *
+ * expectSame() is the one comparator for result structs (IsaStats,
+ * CompileStats, UarchResult, ChipResult, TripsRun, ...): operator==
+ * decides, and a failure names the first differing field path from
+ * the struct's forEachField list (support/fields.hh).
+ *
  * slowScale() implements the two-tier suite split: expensive sweeps
  * run with a bounded iteration count by default (the tier-1 `ctest`
  * budget stays roughly flat as suites grow) and at full scale when
@@ -12,11 +17,23 @@
 #ifndef TRIPSIM_TESTS_TESTUTIL_HH
 #define TRIPSIM_TESTS_TESTUTIL_HH
 
+#include <gtest/gtest.h>
+
 #include <cstdlib>
 
 #include "support/common.hh"
+#include "support/fields.hh"
 
 namespace trips::testutil {
+
+/** Every field of @p a equals @p b's, or the failure names the first
+ *  field that differs. */
+template <class T>
+void
+expectSame(const T &a, const T &b)
+{
+    EXPECT_TRUE(a == b) << firstDifference(a, b);
+}
 
 inline bool
 slowTestsEnabled()
