@@ -65,7 +65,7 @@
  *
  * Robustness modes (src/harness/guard.hh, src/sim/faultio.hh):
  *
- *   --timeout-ms N    per-task watchdog deadline on a --fuzz sweep
+ *   --timeout-ms N    per-task deadline on a --fuzz sweep
  *   --retries N       retry transient I/O failures with backoff
  *   --quarantine F    append failing (seed, shape, code, repro) JSONL
  *                     records to F; quarantined seeds don't fail the
@@ -214,11 +214,12 @@ usage()
         << "--threads T worker cap); a given (mix, config, Q) is\n"
         << "exactly replayable regardless of T.\n"
         << "robustness: --timeout-ms/--retries/--quarantine harden a\n"
-        << "--fuzz sweep (watchdog, transient-I/O backoff, JSONL\n"
-        << "ledger of quarantined seeds); --fault-seed S installs the\n"
-        << "deterministic I/O fault plan (--fault-period N: ~1/N ops\n"
-        << "faulted) under checkpoint/cache file I/O; --cache-fsck\n"
-        << "repairs a --cache DIR left by a mid-sweep kill.\n"
+        << "--fuzz sweep (a per-task deadline that stops the task,\n"
+        << "transient-I/O backoff, JSONL ledger of quarantined seeds);\n"
+        << "--fault-seed S installs the deterministic I/O fault plan\n"
+        << "(--fault-period N: ~1/N ops faulted) under checkpoint/cache\n"
+        << "file I/O; --cache-fsck repairs a --cache DIR left by a\n"
+        << "mid-sweep kill.\n"
         << "observability: --trace-dir DIR writes one Perfetto-loadable\n"
         << "Chrome trace-event JSON per chip mix (--mix/--mix-suite;\n"
         << "block spans, memory instants, quantum barriers — see README\n"
@@ -509,7 +510,7 @@ runFuzz(const Args &a)
 
     // Any robustness knob switches to the guarded sweep: structured
     // failures (CompileError on a grown shape, corrupt files, invalid
-    // derived configs) and watchdog timeouts are quarantined with a
+    // derived configs) and deadline timeouts are quarantined with a
     // repro line and the sweep finishes. A quarantined seed is not a
     // divergence: the exit code stays 0 unless models disagree.
     bool guarded = a.timeoutMs || a.retries || !a.quarantineFile.empty();

@@ -529,17 +529,10 @@ sweepDiffGuarded(SweepPool &pool, u64 base, u64 count,
     // heartbeat counts failed outcomes live instead.
     std::atomic<u64> failedSoFar{0};
     pool.parallelFor(count, [&](u64 i) {
-        u64 seed = taskSeed(base, i);
-        // The task captures by value and writes heap state: on a
-        // watchdog timeout its thread is detached and may outlive
-        // this sweep, so it must not touch our stack or `all`.
-        auto slot = std::make_shared<DiffResult>();
-        outcomes[i] = runGuarded(gcfg, [slot, seed, shape, opts]() {
-            *slot = diffOne(seed, shape, opts);
+        outcomes[i] = runGuarded(gcfg, [&] {
+            all[i] = diffOne(taskSeed(base, i), shape, opts);
         });
-        if (outcomes[i].ok)
-            all[i] = *slot;
-        else
+        if (!outcomes[i].ok)
             failedSoFar.fetch_add(1, std::memory_order_relaxed);
         if (progress)
             progress->tick(failedSoFar.load(std::memory_order_relaxed));

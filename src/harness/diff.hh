@@ -200,7 +200,7 @@ struct GuardedSweepResult
     std::vector<DiffResult> divergences;  ///< minimized, index order
     u64 completed = 0;    ///< tasks that ran to a verdict (ok or not)
     u64 quarantined = 0;  ///< structured failures recorded, not fatal
-    u64 timeouts = 0;     ///< watchdog kills (subset of quarantined)
+    u64 timeouts = 0;     ///< deadline timeouts (subset of quarantined)
 };
 
 /**
@@ -208,7 +208,8 @@ struct GuardedSweepResult
  * structured TripsError — a grown shape the register allocator cannot
  * color, a corrupt file, an invalid derived config — is recorded in
  * @p ledger with its seed, shape and repro command, and the sweep
- * *continues*. Watchdog timeouts are quarantined the same way.
+ * *continues*. Deadline timeouts (GuardConfig::timeoutMs) are
+ * quarantined the same way.
  * Divergences still come back minimized; a shrink rung that itself
  * throws is treated as not reproducing (the ladder stops there).
  */

@@ -1,73 +1,14 @@
 #include "harness/guard.hh"
 
+#include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
-#include <memory>
 #include <thread>
 
 #include "obs/obs.hh"
+#include "support/deadline.hh"
 
 namespace trips::harness {
-
-namespace {
-
-/** One attempt's rendezvous between the caller and the task thread.
- *  Heap-allocated and shared so a detached (timed-out) thread can
- *  still complete safely after the caller has moved on. */
-struct Attempt
-{
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    std::exception_ptr error;
-};
-
-/** Run the task once; returns true iff it finished before deadline. */
-bool
-runOnce(const GuardConfig &cfg, const std::function<void()> &task,
-        std::exception_ptr &error)
-{
-    if (!cfg.timeoutMs) {
-        try {
-            task();
-        } catch (...) {
-            error = std::current_exception();
-        }
-        return true;
-    }
-
-    auto at = std::make_shared<Attempt>();
-    std::thread runner([at, task]() {
-        std::exception_ptr err;
-        try {
-            task();
-        } catch (...) {
-            err = std::current_exception();
-        }
-        std::lock_guard<std::mutex> lk(at->mu);
-        at->error = err;
-        at->done = true;
-        at->cv.notify_all();
-    });
-
-    std::unique_lock<std::mutex> lk(at->mu);
-    bool finished = at->cv.wait_for(
-        lk, std::chrono::milliseconds(cfg.timeoutMs),
-        [&] { return at->done; });
-    if (finished) {
-        runner.join();
-        error = at->error;
-        return true;
-    }
-    // Can't kill the thread; detach it and let the simulator's fuel
-    // bound end it. `at` keeps the rendezvous alive for it.
-    lk.unlock();
-    runner.detach();
-    return false;
-}
-
-} // namespace
 
 TaskOutcome
 runGuarded(const GuardConfig &cfg, const std::function<void()> &task)
@@ -75,32 +16,36 @@ runGuarded(const GuardConfig &cfg, const std::function<void()> &task)
     TaskOutcome out;
     for (unsigned attempt = 0; ; ++attempt) {
         ++out.attempts;
-        std::exception_ptr error;
-        if (!runOnce(cfg, task, error)) {
-            out.timedOut = true;
-            out.error = makeStatus(
-                ErrCode::Timeout, Subsys::Harness,
-                "task exceeded the " + std::to_string(cfg.timeoutMs) +
-                    "ms watchdog deadline");
-            return out;
-        }
-        if (!error) {
-            out.ok = true;
-            return out;
-        }
+        DeadlineScope deadline(cfg.timeoutMs);
+        out.error = okStatus();
         try {
-            std::rethrow_exception(error);
+            task();
         } catch (const TripsError &e) {
             out.error = e.status();
         } catch (const std::exception &e) {
             out.error = makeStatus(ErrCode::Internal, Subsys::Harness,
                                    e.what());
         }
-        if (!out.error.transient() || attempt >= cfg.retries)
+        // The deadline has the last word: a poll site's throw and an
+        // overrun that never reached a poll site both end as a timeout
+        // (never retried: a second attempt would just overrun again).
+        if (deadline.expired()) {
+            out.timedOut = true;
+            // Worded as ever: quarantine ledgers record this message.
+            out.error = makeStatus(
+                ErrCode::Timeout, Subsys::Harness,
+                "task exceeded the " + std::to_string(cfg.timeoutMs) +
+                    "ms watchdog deadline");
             return out;
-        // Transient I/O: back off (base << attempt) and try again.
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(cfg.backoffBaseMs << attempt));
+        }
+        out.ok = out.error.ok();
+        if (out.ok || !out.error.transient() || attempt >= cfg.retries)
+            return out;
+        // Transient I/O: back off (base << attempt, capped at 64x base
+        // so a large --retries neither overflows the shift nor sleeps
+        // for hours) and try again.
+        std::this_thread::sleep_for(std::chrono::milliseconds(
+            cfg.backoffBaseMs << std::min(attempt, 6u)));
     }
 }
 

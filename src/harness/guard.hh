@@ -4,7 +4,8 @@
  *
  * Three pieces, composable with SweepPool (sweep.hh):
  *
- *   runGuarded()      runs one task under a wall-clock watchdog and a
+ *   runGuarded()      runs one task on the caller's thread under a
+ *                     cooperative wall-clock deadline and a
  *                     retry-with-exponential-backoff loop. Structured
  *                     failures (TripsError) come back as a classified
  *                     TaskOutcome instead of unwinding the sweep;
@@ -18,11 +19,9 @@
  *                     even if the process is later killed, because
  *                     each record is appended and flushed on its own.
  *
- * The watchdog cannot kill a C++ thread safely, so a timed-out task's
- * thread is detached and left to finish against its fuel bound; its
- * shared state stays alive until it does. The outcome is reported as
- * Timeout immediately, which is what the campaign needs — progress,
- * not the stuck result.
+ * The deadline (support/deadline.hh) is polled inside the simulators'
+ * long loops, so a task that overruns throws out of the model it is
+ * in and stops; nothing is left running once runGuarded returns.
  */
 
 #ifndef TRIPSIM_HARNESS_GUARD_HH
@@ -45,9 +44,9 @@ namespace trips::harness {
 
 struct GuardConfig
 {
-    u64 timeoutMs = 0;       ///< watchdog deadline per attempt; 0 = off
+    u64 timeoutMs = 0;       ///< deadline per attempt; 0 = off
     unsigned retries = 0;    ///< extra attempts for transient() errors
-    u64 backoffBaseMs = 10;  ///< sleep base << (attempt-1) between tries
+    u64 backoffBaseMs = 10;  ///< sleep base << min(attempt-1, 6) per retry
 };
 
 struct TaskOutcome
@@ -59,10 +58,11 @@ struct TaskOutcome
 };
 
 /**
- * Run @p task under @p cfg. Every failure mode is captured:
- * TripsError becomes its Status, any other std::exception becomes
- * ErrCode::Internal, a blown deadline becomes ErrCode::Timeout
- * (never retried — a second attempt would just hang again).
+ * Run @p task under @p cfg on the calling thread. Every failure mode
+ * is captured: TripsError becomes its Status, any other
+ * std::exception becomes ErrCode::Internal, a blown deadline becomes
+ * ErrCode::Timeout (never retried — a second attempt would just
+ * overrun again), whether a poll site threw or the task returned late.
  */
 TaskOutcome runGuarded(const GuardConfig &cfg,
                        const std::function<void()> &task);

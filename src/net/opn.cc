@@ -106,6 +106,7 @@ OpnNetwork::inject(OpnPacket pkt)
     pool[id] = pkt;
     push(fifo, id, pkt.dst);
     ++packets;
+    ++hopCounts[static_cast<size_t>(pkt.cls)][ROUTE.hops[pkt.src][pkt.dst]];
     return true;
 }
 
@@ -166,7 +167,6 @@ OpnNetwork::tick()
         freeIds[freeCount++] = id;
         OpnPacket pkt = pool[id];
         pkt.hops = ROUTE.hops[pkt.src][pkt.dst];
-        ++hopCounts[static_cast<size_t>(pkt.cls)][pkt.hops];
         arrivals.push_back(pkt);
     }
     // Each downstream FIFO has one upstream link, so at most one flit

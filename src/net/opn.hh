@@ -70,7 +70,8 @@ class OpnNetwork
     const std::vector<OpnPacket> &delivered() const { return arrivals; }
 
     /** Per-class hop distribution (bucket = hop count), folded from
-     *  the raw per-hop counters on each call. */
+     *  the raw per-hop counters on each call. Sampled at injection,
+     *  like packetsSent(), so the two balance with flits in flight. */
     Distribution hopDist(OpnClass c) const;
 
     u64 packetsSent() const { return packets; }
@@ -139,7 +140,7 @@ class OpnNetwork
                   "forwards has a slot past one grant per directed link");
     std::vector<OpnPacket> arrivals;
 
-    /** Raw delivery counts per class and hop count. */
+    /** Raw injection counts per class and hop count. */
     std::array<std::array<u64, MAX_HOPS + 1>,
                static_cast<size_t>(OpnClass::NUM_CLASSES)> hopCounts{};
     u64 packets = 0;

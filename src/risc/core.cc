@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "support/deadline.hh"
+
 namespace trips::risc {
 
 namespace {
@@ -215,8 +217,10 @@ Core::step()
 i64
 Core::run(u64 max_insts)
 {
-    for (u64 i = 0; i < max_insts && !is_halted; ++i)
+    for (u64 i = 0; i < max_insts && !is_halted; ++i) {
+        pollDeadlineAt(i);
         step();
+    }
     if (!is_halted)
         fuel_out = true;
     return static_cast<i64>(regs[REG_RET]);

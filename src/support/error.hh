@@ -50,7 +50,7 @@ enum class ErrCode : u8 {
     Truncated,          ///< file/stream shorter than its own framing
     CorruptData,        ///< CRC or structural mismatch
     VersionMismatch,    ///< recognized file, other format version
-    Timeout,            ///< watchdog deadline exceeded
+    Timeout,            ///< a guarded task's deadline passed
     Internal,           ///< caught invariant violation (still a bug)
 };
 

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "sim/checkpoint.hh"
+#include "support/deadline.hh"
 #include "trips/exec_core.hh"
 #include "trips/predecode.hh"
 
@@ -683,7 +684,7 @@ FuncSim::run(u64 max_blocks)
     for (u64 count = 0; count < max_blocks; ++count) {
         DecodedBlock &d = decoded->block(cur);
         const FastExit fx = executeBlockFast(cur, d);
-        ++blocksDone;
+        pollDeadlineAt(++blocksDone);
         u32 next = fx.nextBlock;
         bool halts = false;
         if (fx.isCall) {

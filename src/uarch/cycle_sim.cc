@@ -4,6 +4,7 @@
 
 #include "obs/obs.hh"
 #include "sim/checkpoint.hh"
+#include "support/deadline.hh"
 #include "support/error.hh"
 #include "trips/exec_core.hh"
 
@@ -1483,8 +1484,8 @@ CycleSim::finish()
         now ? static_cast<double>(sumInstsInFlight) / now : 0;
     res.predictor = predictor.stats();
     // res.opnHops already holds the local-bypass samples (0 hops);
-    // fold in the traffic that actually crossed the network so the
-    // per-class profile covers every delivered operand.
+    // fold in every packet injected (one in flight at halt included)
+    // so the per-class profile covers every operand sent.
     for (size_t c = 0; c < res.opnHops.size(); ++c)
         res.opnHops[c].merge(opn.hopDist(static_cast<net::OpnClass>(c)));
     res.opnPackets = opn.packetsSent();
@@ -1624,8 +1625,10 @@ CycleSim::obsSample()
 UarchResult
 CycleSim::run()
 {
-    while (!done())
+    while (!done()) {
+        pollDeadlineAt(now);
         stepCycle();
+    }
     return finish();
 }
 

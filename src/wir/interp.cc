@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "support/deadline.hh"
+
 namespace trips::wir {
 
 namespace {
@@ -29,6 +31,7 @@ struct Machine
     MemImage &mem;
     RunResult res;
     u64 fuel;
+    u64 blocks = 0;   ///< blocks entered, across calls (deadline polls)
 
     Machine(const Module &m, MemImage &mem, u64 fuel)
         : m(m), mem(mem), fuel(fuel)
@@ -45,6 +48,7 @@ struct Machine
 
         u32 bb = 0;
         while (true) {
+            pollDeadlineAt(++blocks);
             const BasicBlock &blk = f.blocks[bb];
             for (const Instr &in : blk.instrs) {
                 if (res.dynOps >= fuel) {

@@ -314,6 +314,19 @@ TEST(FuzzRegression, BlockLimitOverflowPreviouslyFatal)
     EXPECT_GT(cs.overflowRetries, 0u);
 }
 
+TEST(FuzzRegression, OpnClassTotalsBalanceWithPacketsInFlightAtHalt)
+{
+    // Both (seed, shape)s halt the cycle-level core with one OPN packet
+    // still in flight. Packets were counted at injection but hop
+    // samples at ejection, so the oracle saw "OPN class totals
+    // 156 != packets 100 + bypasses 57" (and 23 != 13 + 11). Each
+    // packet is now counted once, at injection.
+    for (u64 seed : {5233693453965313881ULL, 7659230269054919938ULL}) {
+        auto r = harness::diffOne(seed, ShapeConfig{}.shrunk(7));
+        EXPECT_TRUE(r.ok) << r.divergence << "\nrepro: " << r.reproCmd();
+    }
+}
+
 TEST(FuzzRegression, OperandTotalityThroughSpeculatedOps)
 {
     // Found by seed 1618348243342716079 (hand preset): block hung at

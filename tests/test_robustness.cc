@@ -10,8 +10,10 @@
  *    pass landed) now compiles through spill-to-memory, stays
  *    golden-equivalent across models, and no longer appears in a
  *    guarded sweep's quarantine ledger.
- *  - runGuarded: watchdog timeouts, transient-error retry with
- *    backoff, structured-failure capture.
+ *  - runGuarded: deadline timeouts that stop the task (every polling
+ *    model, no thread left behind, deadline disarmed afterwards),
+ *    transient-error retry with capped backoff, structured-failure
+ *    capture, and a guarded sweep on a multi-worker pool.
  *  - Deterministic fault injection (sim/faultio): a matrix of >= 200
  *    injected I/O faults across checkpoint and campaign-cache paths,
  *    asserting the contract — every fault is a clean miss, a
@@ -30,7 +32,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "core/machines.hh"
 #include "harness/diff.hh"
@@ -42,6 +47,7 @@
 #include "sim/faultio.hh"
 #include "sim/sampling.hh"
 #include "support/error.hh"
+#include "wir/builder.hh"
 #include "wir/interp.hh"
 #include "workloads/workload.hh"
 
@@ -239,7 +245,7 @@ TEST(RegallocExhaustion, GuardedSweepNoLongerQuarantinesTheSeed)
 }
 
 // ---------------------------------------------------------------------
-// runGuarded: watchdog, retry, classification
+// runGuarded: deadline, retry, classification
 // ---------------------------------------------------------------------
 
 TEST(Guard, SuccessNeedsOneAttempt)
@@ -307,8 +313,8 @@ TEST(Guard, WatchdogTimesOutStuckTasks)
     cfg.timeoutMs = 50;
     cfg.retries = 5;  // timeouts must NOT be retried
     cfg.backoffBaseMs = 1;
-    // The task captures nothing from this stack frame: its detached
-    // thread may outlive the test body.
+    // The sleep never reaches a poll site, so only runGuarded's check
+    // after the task returns can report the overrun.
     auto o = harness::runGuarded(cfg, [] {
         std::this_thread::sleep_for(std::chrono::milliseconds(400));
     });
@@ -316,8 +322,6 @@ TEST(Guard, WatchdogTimesOutStuckTasks)
     EXPECT_TRUE(o.timedOut);
     EXPECT_EQ(o.attempts, 1u);
     EXPECT_EQ(o.error.code, ErrCode::Timeout);
-    // Let the detached sleeper drain before the process exits.
-    std::this_thread::sleep_for(std::chrono::milliseconds(450));
 }
 
 TEST(Guard, WatchdogPassesFastTasks)
@@ -327,6 +331,196 @@ TEST(Guard, WatchdogPassesFastTasks)
     auto o = harness::runGuarded(cfg, [] {});
     EXPECT_TRUE(o.ok);
     EXPECT_FALSE(o.timedOut);
+}
+
+TEST(Guard, HugeRetryCountsNeitherOverflowNorOversleep)
+{
+    // 70 retries shift the backoff past a u64's width; the shift is
+    // capped, so this is 71 quick attempts and no UBSan report.
+    harness::GuardConfig cfg;
+    cfg.retries = 70;
+    cfg.backoffBaseMs = 0;
+    unsigned calls = 0;
+    auto o = harness::runGuarded(cfg, [&calls] {
+        ++calls;
+        TRIPS_THROW(ErrCode::IoError, Subsys::Sim, "flaky disk");
+    });
+    EXPECT_FALSE(o.ok);
+    EXPECT_EQ(o.attempts, 71u);
+    EXPECT_EQ(calls, 71u);
+    EXPECT_EQ(o.error.code, ErrCode::IoError);
+}
+
+TEST(Guard, OverlargeTimeoutSaturatesInsteadOfExpiring)
+{
+    harness::GuardConfig cfg;
+    cfg.timeoutMs = ~u64{0};
+    auto o = harness::runGuarded(cfg, [] {});
+    EXPECT_TRUE(o.ok);
+    EXPECT_FALSE(o.timedOut);
+}
+
+namespace {
+
+/** main() { i = 0; do i += 1 while (i != 0); return i; }: 2^64 trips,
+ *  so only a fuel bound or the deadline ends it. */
+wir::Module
+spinModule()
+{
+    wir::Module mod;
+    wir::FunctionBuilder fb(mod, "main", 0);
+    auto i = fb.iconst(0);
+    fb.label("loop");
+    fb.assign(i, fb.addi(i, 1));
+    fb.br(fb.cmpNe(i, fb.iconst(0)), "loop", "done");
+    fb.label("done");
+    fb.ret(i);
+    fb.finish();
+    return mod;
+}
+
+/** One polling model spinning to its fuel bound; returns whether the
+ *  bound (not a halt) ended the run. The bounds take ~0.3 s each in
+ *  an optimized build. */
+struct Spinner
+{
+    const char *model;
+    std::function<bool()> run;
+};
+
+std::vector<Spinner>
+spinners(const wir::Module &mod)
+{
+    auto risc = std::make_shared<risc::RProgram>(
+        risc::compileToRisc(mod, risc::RiscOptions::gcc()));
+    auto trips = std::make_shared<isa::Program>(
+        compiler::compileToTrips(mod, compiler::Options::compiled()));
+    return {
+        {"golden", [&mod] {
+             MemImage mem;
+             return wir::Interp{}.run(mod, mem, 120'000'000).fuelExhausted;
+         }},
+        {"risc", [risc] {
+             MemImage mem;
+             risc::Core core(*risc, mem);
+             core.run(35'000'000);
+             return core.fuelExhausted();
+         }},
+        {"funcsim", [trips] {
+             MemImage mem;
+             sim::FuncSim fs(*trips, mem);
+             return fs.run(2'000'000).fuelExhausted;
+         }},
+        {"cyclesim", [trips] {
+             MemImage mem;
+             uarch::UarchConfig ucfg;
+             ucfg.maxCycles = 4'000'000;
+             return uarch::CycleSim(*trips, mem, ucfg).run().fuelExhausted;
+         }},
+    };
+}
+
+double
+msSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
+/** The Threads: line of /proc/self/status. */
+unsigned
+threadCount()
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("Threads:", 0) == 0)
+            return static_cast<unsigned>(std::stoul(line.substr(8)));
+    }
+    return 0;
+}
+
+} // namespace
+
+TEST(Guard, DeadlineStopsEveryPollingModel)
+{
+    constexpr u64 DEADLINE_MS = 20;
+    const wir::Module mod = spinModule();
+    for (const Spinner &s : spinners(mod)) {
+        SCOPED_TRACE(s.model);
+        harness::GuardConfig cfg;
+        cfg.timeoutMs = DEADLINE_MS;
+        cfg.retries = 3;  // a timeout is never retried
+        // Shared, so a task that ran on past its deadline could still
+        // clear it safely; it must have stopped before runGuarded
+        // returns.
+        auto running = std::make_shared<std::atomic<bool>>(false);
+        auto t0 = std::chrono::steady_clock::now();
+        auto o = harness::runGuarded(cfg, [run = s.run, running] {
+            running->store(true);
+            struct Clear
+            {
+                std::atomic<bool> &flag;
+                ~Clear() { flag.store(false); }
+            } clear{*running};
+            run();
+        });
+        const double guardedMs = msSince(t0);
+        EXPECT_FALSE(running->load()) << "the timed-out task ran on";
+        EXPECT_FALSE(o.ok);
+        EXPECT_TRUE(o.timedOut);
+        EXPECT_EQ(o.attempts, 1u);
+        EXPECT_EQ(o.error.code, ErrCode::Timeout);
+        EXPECT_EQ(o.error.subsys, Subsys::Harness);
+
+        // The same job unguarded on the same thread runs to its fuel
+        // bound: the timed-out attempt disarmed the deadline.
+        t0 = std::chrono::steady_clock::now();
+        EXPECT_TRUE(s.run());
+        const double unguardedMs = msSince(t0);
+        ASSERT_GE(unguardedMs, 10.0 * DEADLINE_MS)
+            << "job too short to show the deadline stopping it";
+        EXPECT_LT(guardedMs, unguardedMs / 2)
+            << "the timed-out run was not stopped early";
+    }
+}
+
+TEST(Guard, TimedOutTaskLeavesNoThreadBehind)
+{
+    const wir::Module mod = spinModule();
+    const unsigned before = threadCount();
+    ASSERT_GT(before, 0u);
+    harness::GuardConfig cfg;
+    cfg.timeoutMs = 20;
+    auto o = harness::runGuarded(cfg, [&mod] {
+        MemImage mem;
+        wir::Interp{}.run(mod, mem, 120'000'000);
+    });
+    EXPECT_TRUE(o.timedOut);
+    EXPECT_EQ(threadCount(), before);
+}
+
+TEST(Guard, GuardedSweepOnFourWorkersMatchesPlainSweep)
+{
+    // Four pool workers each arm their own deadline around every task
+    // (the TSan job runs this): the verdicts match the unguarded sweep.
+    constexpr u64 BASE = 20260728, COUNT = 8;
+    harness::SweepPool pool(4);
+    auto plain = harness::sweepDiff(pool, BASE, COUNT);
+    harness::GuardConfig gcfg;
+    gcfg.timeoutMs = 120000;
+    harness::QuarantineLedger ledger;
+    auto guarded = harness::sweepDiffGuarded(pool, BASE, COUNT, {}, {},
+                                             gcfg, ledger);
+    EXPECT_EQ(guarded.completed, COUNT);
+    EXPECT_EQ(guarded.quarantined, 0u);
+    EXPECT_EQ(ledger.entries(), 0u);
+    ASSERT_EQ(guarded.divergences.size(), plain.size());
+    for (size_t k = 0; k < plain.size(); ++k) {
+        EXPECT_EQ(guarded.divergences[k].seed, plain[k].seed);
+        EXPECT_EQ(guarded.divergences[k].divergence, plain[k].divergence);
+    }
 }
 
 // ---------------------------------------------------------------------
