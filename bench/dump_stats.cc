@@ -31,6 +31,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "cli.hh"
 #include "compiler/codegen.hh"
 #include "core/machines.hh"
 #include "obs/obs.hh"
@@ -189,6 +190,17 @@ runObserved(const std::string &trace_path, const std::string &metrics_path,
     return 0;
 }
 
+static int
+usage()
+{
+    std::fprintf(stderr,
+                 "usage: dump_stats [--all] [--cache DIR]\n"
+                 "                  [--trace FILE] [--metrics FILE]"
+                 " [--stalls] [--period N]\n"
+                 "N is a plain non-negative decimal.\n");
+    return 2;
+}
+
 int
 main(int argc, char **argv)
 {
@@ -208,13 +220,12 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--stalls")) {
             stalls = true;
         } else if (!std::strcmp(argv[i], "--period") && i + 1 < argc) {
-            period = std::strtoull(argv[++i], nullptr, 10);
+            std::optional<u64> v = bench::parseNumber<u64>(argv[++i]);
+            if (!v)
+                return usage();
+            period = *v;
         } else {
-            std::fprintf(stderr,
-                         "usage: dump_stats [--all] [--cache DIR]\n"
-                         "                  [--trace FILE] [--metrics FILE]"
-                         " [--stalls] [--period N]\n");
-            return 2;
+            return usage();
         }
     }
     bool observed = !tracePath.empty() || !metricsPath.empty() || stalls;

@@ -76,8 +76,9 @@
  *   --cache-fsck      with --cache DIR: delete CRC-broken entries and
  *                     orphaned temp files, then exit
  *
- * Common flags: --jobs N (0 = all cores), --seed BASE, --no-cycle,
- * --verify-til (TIL structural verification between backend passes),
+ * Common flags: --jobs N (0 = all cores, at most MAX_JOBS = 256),
+ * --seed BASE, --no-cycle, --verify-til (TIL structural verification
+ * between backend passes),
  * --grow K (the block-splitting stress ladder, see ShapeConfig).
  */
 
@@ -90,10 +91,12 @@
 #include <functional>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "core/machines.hh"
 #include "harness/diff.hh"
 #include "harness/guard.hh"
@@ -120,6 +123,9 @@ msSince(Clock::time_point t0)
     return std::chrono::duration<double, std::milli>(Clock::now() - t0)
         .count();
 }
+
+/** --jobs ceiling: each job is one SweepPool worker thread. */
+constexpr unsigned MAX_JOBS = 256;
 
 struct Args
 {
@@ -201,6 +207,9 @@ usage()
         << "                     (--fuzz N [--out F]\n"
         << "                      | --repro A (--seed2 B | --seeds A,B,...)\n"
         << "                      | --mix A,B,... | --mix-suite))\n"
+        << "--jobs N: worker threads, 0 = all cores, at most "
+        << MAX_JOBS << ".\n"
+        << "Numbers are plain non-negative decimals.\n"
         << "shape flags (fuzz/repro): --grow K --funcs N --top N\n"
         << "  --body N --depth N --trip N --slots N --live N\n"
         << "  --no-float --no-call --no-mem --no-subword\n"
@@ -229,6 +238,18 @@ usage()
     std::exit(2);
 }
 
+/** The value of a numeric flag; usage() unless it is a plain decimal
+ *  T in [0, max] (bench/cli.hh). */
+template <class T>
+T
+number(const char *s, T max = std::numeric_limits<T>::max())
+{
+    std::optional<T> v = bench::parseNumber(s, max);
+    if (!v)
+        usage();
+    return *v;
+}
+
 Args
 parse(int argc, char **argv)
 {
@@ -240,27 +261,27 @@ parse(int argc, char **argv)
     };
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--jobs")) {
-            a.jobs = static_cast<unsigned>(std::stoul(val(i)));
+            a.jobs = number(val(i), MAX_JOBS);
         } else if (!std::strcmp(argv[i], "--seed")) {
-            a.seed = std::stoull(val(i));
+            a.seed = number<u64>(val(i));
         } else if (!std::strcmp(argv[i], "--fuzz")) {
-            a.fuzzCount = std::stoull(val(i));
+            a.fuzzCount = number<u64>(val(i));
         } else if (!std::strcmp(argv[i], "--repro")) {
             a.repro = true;
-            a.reproSeed = std::stoull(val(i));
+            a.reproSeed = number<u64>(val(i));
         } else if (!std::strcmp(argv[i], "--shrink")) {
-            a.shrink = static_cast<unsigned>(std::stoul(val(i)));
+            a.shrink = number<unsigned>(val(i));
         } else if (!std::strcmp(argv[i], "--grow")) {
-            a.grow = static_cast<unsigned>(std::stoul(val(i)));
+            a.grow = number<unsigned>(val(i));
         } else if (!std::strcmp(argv[i], "--seed2")) {
-            a.seed2 = std::stoull(val(i));
+            a.seed2 = number<u64>(val(i));
         } else if (!std::strcmp(argv[i], "--seeds")) {
             a.chip = true;
             std::string list = val(i), cur;
             for (char ch : list + ",") {
                 if (ch == ',') {
                     if (!cur.empty())
-                        a.seeds.push_back(std::stoull(cur));
+                        a.seeds.push_back(number<u64>(cur.c_str()));
                     cur.clear();
                 } else {
                     cur += ch;
@@ -270,13 +291,13 @@ parse(int argc, char **argv)
             a.chip = true;
         } else if (!std::strcmp(argv[i], "--cores")) {
             a.chip = true;
-            a.cores = static_cast<unsigned>(std::stoul(val(i)));
+            a.cores = number<unsigned>(val(i));
         } else if (!std::strcmp(argv[i], "--parallel")) {
             a.parallel = true;
         } else if (!std::strcmp(argv[i], "--quantum")) {
-            a.quantum = static_cast<unsigned>(std::stoul(val(i)));
+            a.quantum = number<unsigned>(val(i));
         } else if (!std::strcmp(argv[i], "--threads")) {
-            a.threads = static_cast<unsigned>(std::stoul(val(i)));
+            a.threads = number<unsigned>(val(i));
         } else if (!std::strcmp(argv[i], "--mix")) {
             a.chip = true;
             a.mix = val(i);
@@ -300,19 +321,19 @@ parse(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--cache")) {
             a.cacheDir = val(i);
         } else if (!std::strcmp(argv[i], "--ckpt-every")) {
-            a.ckptEvery = std::stoull(val(i));
+            a.ckptEvery = number<u64>(val(i));
         } else if (!std::strcmp(argv[i], "--sampled")) {
             a.sampledList = val(i);
         } else if (!std::strcmp(argv[i], "--sample")) {
             a.sampleSpec = val(i);
         } else if (!std::strcmp(argv[i], "--sample-tol")) {
-            a.sampleTol = std::stod(val(i));
+            a.sampleTol = number<double>(val(i));
         } else if (!std::strcmp(argv[i], "--sample-spread")) {
-            a.sampleSpread = std::stod(val(i));
+            a.sampleSpread = number<double>(val(i));
         } else if (!std::strcmp(argv[i], "--timeout-ms")) {
-            a.timeoutMs = std::stoull(val(i));
+            a.timeoutMs = number<u64>(val(i));
         } else if (!std::strcmp(argv[i], "--retries")) {
-            a.retries = static_cast<unsigned>(std::stoul(val(i)));
+            a.retries = number<unsigned>(val(i));
         } else if (!std::strcmp(argv[i], "--quarantine")) {
             a.quarantineFile = val(i);
         } else if (!std::strcmp(argv[i], "--trace-dir")) {
@@ -321,33 +342,33 @@ parse(int argc, char **argv)
             a.progress = true;
         } else if (!std::strcmp(argv[i], "--fault-seed")) {
             a.faultInject = true;
-            a.faultSeed = std::stoull(val(i));
+            a.faultSeed = number<u64>(val(i));
         } else if (!std::strcmp(argv[i], "--fault-period")) {
             a.faultInject = true;
-            a.faultPeriod = static_cast<unsigned>(std::stoul(val(i)));
+            a.faultPeriod = number<unsigned>(val(i));
         } else if (!std::strcmp(argv[i], "--cache-fsck")) {
             a.cacheFsck = true;
         } else if (!std::strcmp(argv[i], "--funcs")) {
-            unsigned v = static_cast<unsigned>(std::stoul(val(i)));
+            unsigned v = number<unsigned>(val(i));
             a.shapeEdits.push_back(
                 [v](auto &s) { s.helperFuncs = v; });
         } else if (!std::strcmp(argv[i], "--top")) {
-            unsigned v = static_cast<unsigned>(std::stoul(val(i)));
+            unsigned v = number<unsigned>(val(i));
             a.shapeEdits.push_back([v](auto &s) { s.topStmts = v; });
         } else if (!std::strcmp(argv[i], "--body")) {
-            unsigned v = static_cast<unsigned>(std::stoul(val(i)));
+            unsigned v = number<unsigned>(val(i));
             a.shapeEdits.push_back([v](auto &s) { s.bodyStmts = v; });
         } else if (!std::strcmp(argv[i], "--depth")) {
-            unsigned v = static_cast<unsigned>(std::stoul(val(i)));
+            unsigned v = number<unsigned>(val(i));
             a.shapeEdits.push_back([v](auto &s) { s.maxDepth = v; });
         } else if (!std::strcmp(argv[i], "--trip")) {
-            unsigned v = static_cast<unsigned>(std::stoul(val(i)));
+            unsigned v = number<unsigned>(val(i));
             a.shapeEdits.push_back([v](auto &s) { s.maxLoopTrip = v; });
         } else if (!std::strcmp(argv[i], "--slots")) {
-            unsigned v = static_cast<unsigned>(std::stoul(val(i)));
+            unsigned v = number<unsigned>(val(i));
             a.shapeEdits.push_back([v](auto &s) { s.memSlots = v; });
         } else if (!std::strcmp(argv[i], "--live")) {
-            unsigned v = static_cast<unsigned>(std::stoul(val(i)));
+            unsigned v = number<unsigned>(val(i));
             a.shapeEdits.push_back([v](auto &s) { s.liveValues = v; });
         } else if (!std::strcmp(argv[i], "--no-float")) {
             a.shapeEdits.push_back([](auto &s) { s.floats = false; });

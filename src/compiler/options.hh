@@ -14,6 +14,7 @@
 #include <iosfwd>
 
 #include "support/common.hh"
+#include "support/fields.hh"
 
 namespace trips::compiler {
 
@@ -52,11 +53,32 @@ struct Options
      *  TIL-shaping pass (nullptr = off; not owned). */
     std::ostream *tilDump = nullptr;
 
+    bool operator==(const Options &) const = default;
+
     /** Named presets. */
     static Options compiled();
     static Options hand();
     static Options basicBlock();
 };
+
+/**
+ * Options' field list (support/fields.hh), in campaign-key byte order.
+ * The debug hooks verifyTil and tilDump are left out: they never
+ * change the compiled program, so they must not split the key space.
+ */
+template <FieldsOf<Options> S, class V>
+void
+forEachField(S &s, V &&v)
+{
+    v("enablePredication", s.enablePredication);
+    v("speculateArith", s.speculateArith);
+    v("maxUnroll", s.maxUnroll);
+    v("unrollBudgetOps", s.unrollBudgetOps);
+    v("regionBudgetOps", s.regionBudgetOps);
+    v("maxPredDepth", s.maxPredDepth);
+    v("regionBudgetMem", s.regionBudgetMem);
+    v("foldImmediates", s.foldImmediates);
+}
 
 inline Options
 Options::compiled()

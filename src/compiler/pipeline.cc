@@ -919,18 +919,17 @@ compileFunction(const Module &mod, const std::string &fname,
         bool spilled = false;
         for (int attempt = 0; attempt < MAX_ATTEMPTS && !spilled;
              ++attempt) {
-            PassCounters local[NUM_PASSES];
-            CompileStats splitStats;
+            CompileStats local;  // this attempt's pass and split counters
             fe.allowOversized(attempt == MAX_ATTEMPTS - 1);
             try {
                 // Pass 1 — region formation.
                 unsigned nregions = fe.formRegions(force_singleton);
-                local[static_cast<unsigned>(PassId::RegionForm)]
+                local.pass[static_cast<unsigned>(PassId::RegionForm)]
                     .tilBlocks = nregions;
 
                 // Pass 2 — if-conversion to TIL.
                 std::vector<HBlock> hbs = fe.ifConvert();
-                recordPass(local, PassId::IfConvert, hbs, 0);
+                recordPass(local.pass, PassId::IfConvert, hbs, 0);
                 passDebug(opts, fname, PassId::IfConvert, hbs, false);
                 auto regionLive = fe.regionLiveSets();
                 auto regionDepth = fe.regionLoopDepths();
@@ -946,7 +945,7 @@ compileFunction(const Module &mod, const std::string &fname,
                 std::vector<std::vector<Vreg>> liveSets;
                 std::vector<unsigned> blockDepth;
                 u64 preSplitNodes =
-                    local[static_cast<unsigned>(PassId::IfConvert)]
+                    local.pass[static_cast<unsigned>(PassId::IfConvert)]
                         .tilNodes;
                 for (u32 ri = 0; ri < hbs.size(); ++ri) {
                     std::string reason = checkBlockLimits(hbs[ri]);
@@ -959,7 +958,7 @@ compileFunction(const Module &mod, const std::string &fname,
                     } else {
                         chunks = splitPass(std::move(hbs[ri]), fname,
                                            [&] { return fe.freshVreg(); },
-                                           &splitStats);
+                                           &local);
                     }
                     for (auto &c : chunks) {
                         blocks.push_back(std::move(c));
@@ -967,15 +966,18 @@ compileFunction(const Module &mod, const std::string &fname,
                         blockDepth.push_back(regionDepth[ri]);
                     }
                 }
-                recordPass(local, PassId::Split, blocks, preSplitNodes);
+                recordPass(local.pass, PassId::Split, blocks,
+                           preSplitNodes);
                 passDebug(opts, fname, PassId::Split, blocks, true);
 
                 // Pass 4 — fanout.
                 u64 preFanoutNodes =
-                    local[static_cast<unsigned>(PassId::Split)].tilNodes;
+                    local.pass[static_cast<unsigned>(PassId::Split)]
+                        .tilNodes;
                 for (HBlock &hb : blocks)
                     fanoutPass(hb);
-                recordPass(local, PassId::Fanout, blocks, preFanoutNodes);
+                recordPass(local.pass, PassId::Fanout, blocks,
+                           preFanoutNodes);
                 passDebug(opts, fname, PassId::Fanout, blocks, true);
 
                 // Pass 5 — spill-to-memory. Pure analysis here: the
@@ -988,11 +990,12 @@ compileFunction(const Module &mod, const std::string &fname,
                 // pre-existing workload — this pass is bit-exact
                 // invisible.
                 u64 fanoutNodes =
-                    local[static_cast<unsigned>(PassId::Fanout)].tilNodes;
+                    local.pass[static_cast<unsigned>(PassId::Fanout)]
+                        .tilNodes;
                 SpillPlan plan = chooseSpills(
                     blocks, liveSets, blockDepth,
                     [&fe](Vreg v) { return fe.spillableVreg(v); });
-                recordPass(local, PassId::Spill, blocks, fanoutNodes);
+                recordPass(local.pass, PassId::Spill, blocks, fanoutNodes);
                 if (!plan.feasible)
                     throw CompileError(
                         ErrCode::ResourceExhausted,
@@ -1035,8 +1038,8 @@ compileFunction(const Module &mod, const std::string &fname,
 
                 // Pass 6 — register allocation (no TIL shape change).
                 allocateRegisters(blocks, fname, liveSets);
-                recordPass(local, PassId::RegAlloc, blocks,
-                           local[static_cast<unsigned>(PassId::Spill)]
+                recordPass(local.pass, PassId::RegAlloc, blocks,
+                           local.pass[static_cast<unsigned>(PassId::Spill)]
                                .tilNodes);
 
                 // Pass 7 — emission.
@@ -1051,24 +1054,12 @@ compileFunction(const Module &mod, const std::string &fname,
                     for (auto &[inst, label] : rfix)
                         outp.fixups.emplace_back(hi, inst, label, true);
                 }
-                recordPass(local, PassId::Emit, blocks,
-                           local[static_cast<unsigned>(PassId::RegAlloc)]
+                recordPass(local.pass, PassId::Emit, blocks,
+                           local.pass[static_cast<unsigned>(PassId::RegAlloc)]
                                .tilNodes);
 
                 // Success: merge this attempt's counters.
-                for (unsigned p = 0; p < NUM_PASSES; ++p) {
-                    PassCounters &dst = cs.pass[p];
-                    const PassCounters &src = local[p];
-                    dst.tilBlocks += src.tilBlocks;
-                    dst.tilNodes += src.tilNodes;
-                    dst.movNodes += src.movNodes;
-                    dst.nullNodes += src.nullNodes;
-                    dst.testNodes += src.testNodes;
-                    dst.addedNodes += src.addedNodes;
-                }
-                cs.splitBlocks += splitStats.splitBlocks;
-                cs.spillWrites += splitStats.spillWrites;
-                cs.spillReads += splitStats.spillReads;
+                addFields(cs, local);
                 return outp;
             } catch (const BlockOverflow &o) {
                 ++cs.overflowRetries;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "support/common.hh"
+#include "support/fields.hh"
 
 namespace trips::mem {
 
@@ -22,9 +23,21 @@ struct CacheConfig
     unsigned assoc = 2;
     unsigned lineBytes = 64;
 
+    bool operator==(const CacheConfig &) const = default;
+
     /** "" when the geometry is usable, else "<name>: <violation>". */
     std::string validate(const char *name) const;
 };
+
+/** CacheConfig's field list (support/fields.hh). */
+template <FieldsOf<CacheConfig> S, class V>
+void
+forEachField(S &s, V &&v)
+{
+    v("sizeBytes", s.sizeBytes);
+    v("assoc", s.assoc);
+    v("lineBytes", s.lineBytes);
+}
 
 struct AccessResult
 {

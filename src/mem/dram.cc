@@ -1,8 +1,23 @@
 #include "mem/dram.hh"
 
 #include <algorithm>
+#include <sstream>
 
 namespace trips::mem {
+
+std::string
+DramConfig::validate(const char *name) const
+{
+    std::ostringstream os;
+    if (channels < 1) {
+        os << name << ": channels must be >= 1";
+    } else if (banksPerChannel < 1) {
+        os << name << ": banksPerChannel must be >= 1";
+    } else if (lineBytes < 1) {
+        os << name << ": lineBytes must be >= 1";
+    }
+    return os.str();
+}
 
 Dram::Dram(const DramConfig &cfg_)
     : cfg(cfg_),

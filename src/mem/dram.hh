@@ -11,9 +11,11 @@
 #ifndef TRIPSIM_MEM_DRAM_HH
 #define TRIPSIM_MEM_DRAM_HH
 
+#include <string>
 #include <vector>
 
 #include "support/common.hh"
+#include "support/fields.hh"
 
 namespace trips::mem {
 
@@ -28,7 +30,25 @@ struct DramConfig
     /** Additional core cycles to activate a new row (RP+RCD). */
     unsigned rowMissPenalty = 33;
     unsigned lineBytes = 64;
+
+    bool operator==(const DramConfig &) const = default;
+
+    /** "" when the shape is usable, else "<name>: <violation>". */
+    std::string validate(const char *name) const;
 };
+
+/** DramConfig's field list (support/fields.hh). */
+template <FieldsOf<DramConfig> S, class V>
+void
+forEachField(S &s, V &&v)
+{
+    v("channels", s.channels);
+    v("banksPerChannel", s.banksPerChannel);
+    v("cyclesPerTransfer", s.cyclesPerTransfer);
+    v("rowHitLatency", s.rowHitLatency);
+    v("rowMissPenalty", s.rowMissPenalty);
+    v("lineBytes", s.lineBytes);
+}
 
 class Dram
 {

@@ -38,6 +38,8 @@ MemorySystemConfig::validate() const
     } else {
         std::string err = l2Bank.validate("l2Bank");
         if (err.empty())
+            err = dram.validate("dram");
+        if (err.empty())
             err = ocn.validate();
         os << err;
     }

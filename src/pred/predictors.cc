@@ -112,6 +112,26 @@ SimpleBtb::update(u64 key, u32 target)
 // NextBlockPredictor
 // ---------------------------------------------------------------------
 
+std::string
+NextBlockConfig::validate() const
+{
+    // Tables indexed by a hash masked with (entries - 1).
+    const std::pair<const char *, unsigned> masked[] = {
+        {"localEntries", localEntries},
+        {"localPatternEntries", localPatternEntries},
+        {"globalEntries", globalEntries},
+        {"choiceEntries", choiceEntries},
+        {"btbEntries", btbEntries},
+        {"ctbEntries", ctbEntries},
+        {"btypeEntries", btypeEntries},
+    };
+    for (const auto &[name, n] : masked) {
+        if (n == 0 || (n & (n - 1)))
+            return std::string(name) + " must be a nonzero power of two";
+    }
+    return rasEntries < 1 ? "rasEntries must be >= 1" : "";
+}
+
 NextBlockPredictor::NextBlockPredictor(const NextBlockConfig &cfg_)
     : cfg(cfg_),
       localHist(cfg.localEntries, 0),

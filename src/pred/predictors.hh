@@ -14,6 +14,7 @@
 #ifndef TRIPSIM_PRED_PREDICTORS_HH
 #define TRIPSIM_PRED_PREDICTORS_HH
 
+#include <string>
 #include <vector>
 
 #include "support/common.hh"
@@ -114,6 +115,11 @@ struct NextBlockConfig
     unsigned rasEntries = 8;
     unsigned btypeEntries = 512;
 
+    bool operator==(const NextBlockConfig &) const = default;
+
+    /** "" when every table is usable, else the first violation. */
+    std::string validate() const;
+
     static NextBlockConfig prototype() { return NextBlockConfig{}; }
 
     static NextBlockConfig
@@ -130,6 +136,23 @@ struct NextBlockConfig
         return c;
     }
 };
+
+/** NextBlockConfig's field list (support/fields.hh). */
+template <FieldsOf<NextBlockConfig> S, class V>
+void
+forEachField(S &s, V &&v)
+{
+    v("localEntries", s.localEntries);
+    v("localHistBits", s.localHistBits);
+    v("localPatternEntries", s.localPatternEntries);
+    v("globalHistBits", s.globalHistBits);
+    v("globalEntries", s.globalEntries);
+    v("choiceEntries", s.choiceEntries);
+    v("btbEntries", s.btbEntries);
+    v("ctbEntries", s.ctbEntries);
+    v("rasEntries", s.rasEntries);
+    v("btypeEntries", s.btypeEntries);
+}
 
 struct NextBlockStats
 {

@@ -10,9 +10,8 @@ namespace trips::sim {
 
 // ---------------------------------------------------------------------
 // Key material serialization. Every field that can change a simulation
-// result is written fixed-width into the hash stream; pure debug knobs
-// (TIL verification/dumping) are excluded so they never split the key
-// space.
+// result is written fixed-width into the hash stream: the module here,
+// the configs through their forEachField lists.
 // ---------------------------------------------------------------------
 
 void
@@ -60,66 +59,6 @@ putModule(ByteWriter &w, const wir::Module &mod)
 
 namespace {
 
-void
-putOptions(ByteWriter &w, const compiler::Options &o)
-{
-    w.u8v(o.enablePredication);
-    w.u8v(o.speculateArith);
-    w.u32v(o.maxUnroll);
-    w.u32v(o.unrollBudgetOps);
-    w.u32v(o.regionBudgetOps);
-    w.u32v(o.maxPredDepth);
-    w.u32v(o.regionBudgetMem);
-    w.u8v(o.foldImmediates);
-}
-
-void
-putCacheConfig(ByteWriter &w, const mem::CacheConfig &c)
-{
-    w.u64v(c.sizeBytes);
-    w.u32v(c.assoc);
-    w.u32v(c.lineBytes);
-}
-
-void
-putUarchConfig(ByteWriter &w, const uarch::UarchConfig &c)
-{
-    w.u32v(c.numFrames);
-    w.u32v(c.dispatchPerCycle);
-    w.u32v(c.fetchLatency);
-    w.u32v(c.l1iHitLatency);
-    w.u32v(c.l1dHitLatency);
-    w.u32v(c.l2BaseLatency);
-    w.u32v(c.l2NucaStep);
-    w.u32v(c.commitLatency);
-    w.u32v(c.redirectPenalty);
-    w.u32v(c.statusLatency);
-    putCacheConfig(w, c.l1dBank);
-    putCacheConfig(w, c.l1i);
-    putCacheConfig(w, c.l2Bank);
-    w.u32v(c.dram.channels);
-    w.u32v(c.dram.banksPerChannel);
-    w.u32v(c.dram.cyclesPerTransfer);
-    w.u32v(c.dram.rowHitLatency);
-    w.u32v(c.dram.rowMissPenalty);
-    w.u32v(c.dram.lineBytes);
-    const auto &p = c.predictor;
-    w.u32v(p.localEntries);
-    w.u32v(p.localHistBits);
-    w.u32v(p.localPatternEntries);
-    w.u32v(p.globalHistBits);
-    w.u32v(p.globalEntries);
-    w.u32v(p.choiceEntries);
-    w.u32v(p.btbEntries);
-    w.u32v(p.ctbEntries);
-    w.u32v(p.rasEntries);
-    w.u32v(p.btypeEntries);
-    w.u32v(c.depPredEntries);
-    w.u32v(c.dtServicePeriod);
-    w.u32v(c.lsqEntriesPerFrame);
-    w.u64v(c.maxCycles);
-}
-
 // ---------------------------------------------------------------------
 // TripsRun record serialization: a hand-written envelope around the
 // result structs' field lists (sim/serial.hh putFields/getFields).
@@ -161,8 +100,8 @@ campaignKey(const wir::Module &mod, const compiler::Options &opts,
     w.str(SIM_VERSION);
     w.u32v(CAMPAIGN_FORMAT);
     putModule(w, mod);
-    putOptions(w, opts);
-    putUarchConfig(w, ucfg);
+    putFields(w, opts);
+    putFields(w, ucfg);
     w.u8v(cycle_level);
     Fnv128 h;
     h.update(w);

@@ -13,6 +13,12 @@
  *   hash(SIM_VERSION, record format, canonical module bytes,
  *        compiler Options, UarchConfig, cycle-level flag)
  *
+ * The Options and UarchConfig bytes are their forEachField lists
+ * (support/fields.hh, sim::putFields), so every listed knob is part of
+ * the key; Options' debug hooks (verifyTil, tilDump) are unlisted and
+ * never split it. Changing a config list changes every key: bump
+ * CAMPAIGN_FORMAT and re-pin ConfigSchema.CampaignKeyBytesArePinned.
+ *
  * and memoizes the full TripsRun record (functional + compile +
  * cycle-level statistics) in one CRC-sealed file per key under the
  * cache directory. A warm re-run of a whole campaign therefore

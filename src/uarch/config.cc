@@ -4,18 +4,6 @@
 
 namespace trips::uarch {
 
-namespace {
-
-bool
-validCache(const mem::CacheConfig &c, const char *name, std::ostream &os)
-{
-    std::string err = c.validate(name);
-    os << err;
-    return err.empty();
-}
-
-} // namespace
-
 std::string
 UarchConfig::validate() const
 {
@@ -35,9 +23,17 @@ UarchConfig::validate() const
     } else if (depPredEntries == 0 ||
                (depPredEntries & (depPredEntries - 1))) {
         os << "depPredEntries must be a power of two";
+    } else if (std::string pred = predictor.validate(); !pred.empty()) {
+        os << "predictor: " << pred;
     } else {
-        validCache(l1dBank, "l1dBank", os) &&
-            validCache(l1i, "l1i", os) && validCache(l2Bank, "l2Bank", os);
+        std::string err = l1dBank.validate("l1dBank");
+        if (err.empty())
+            err = l1i.validate("l1i");
+        if (err.empty())
+            err = l2Bank.validate("l2Bank");
+        if (err.empty())
+            err = dram.validate("dram");
+        os << err;
     }
     return os.str();
 }

@@ -53,6 +53,8 @@ struct UarchConfig
     /** Stop simulation after this many cycles (safety). */
     u64 maxCycles = 400'000'000;
 
+    bool operator==(const UarchConfig &) const = default;
+
     /**
      * Validate the configuration against the model's structural
      * limits. Returns "" when usable, else a description of the first
@@ -80,6 +82,33 @@ struct UarchConfig
      *  16-entry dependence predictor. */
     static UarchConfig tinyMemory();
 };
+
+/** UarchConfig's field list (support/fields.hh), in campaign-key byte
+ *  order. */
+template <FieldsOf<UarchConfig> S, class V>
+void
+forEachField(S &s, V &&v)
+{
+    v("numFrames", s.numFrames);
+    v("dispatchPerCycle", s.dispatchPerCycle);
+    v("fetchLatency", s.fetchLatency);
+    v("l1iHitLatency", s.l1iHitLatency);
+    v("l1dHitLatency", s.l1dHitLatency);
+    v("l2BaseLatency", s.l2BaseLatency);
+    v("l2NucaStep", s.l2NucaStep);
+    v("commitLatency", s.commitLatency);
+    v("redirectPenalty", s.redirectPenalty);
+    v("statusLatency", s.statusLatency);
+    v("l1dBank", s.l1dBank);
+    v("l1i", s.l1i);
+    v("l2Bank", s.l2Bank);
+    v("dram", s.dram);
+    v("predictor", s.predictor);
+    v("depPredEntries", s.depPredEntries);
+    v("dtServicePeriod", s.dtServicePeriod);
+    v("lsqEntriesPerFrame", s.lsqEntriesPerFrame);
+    v("maxCycles", s.maxCycles);
+}
 
 /**
  * Uncore (shared NUCA L2 + OCN + DRAM) configuration implied by a

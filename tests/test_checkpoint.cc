@@ -5,9 +5,10 @@
  * checkpoint-restore differential oracle (restored functional and
  * warm-started cycle-level runs must equal the straight runs), sampled
  * simulation accuracy against full-detail runs, the campaign
- * cache's cold/warm bit-identity, and the result schema: the
- * forEachField walkers against operator== and the pinned byte layout
- * of the campaign record and the checkpoint stats.
+ * cache's cold/warm bit-identity, and the result and config schemas:
+ * the forEachField walkers against operator==, the pinned byte layout
+ * of the campaign record and the checkpoint stats, and the pinned
+ * campaign key the config lists produce.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <set>
+#include <sstream>
 
 #include "core/machines.hh"
 #include "harness/diff.hh"
@@ -371,27 +373,6 @@ TEST(Campaign, WarmRerunIsBitIdenticalAndSkipsSimulation)
     expectSame(r1, r2);
 }
 
-TEST(Campaign, KeySeparatesEveryInputDimension)
-{
-    wir::Module mod = harness::generate(7, harness::ShapeConfig{});
-    auto opts = compiler::Options::compiled();
-    uarch::UarchConfig ucfg;
-    auto base = sim::campaignKey(mod, opts, ucfg, true);
-
-    // Stable for identical inputs.
-    EXPECT_EQ(sim::campaignKey(mod, opts, ucfg, true), base);
-
-    // Distinct per module / options / config / model level.
-    wir::Module mod2 = harness::generate(8, harness::ShapeConfig{});
-    EXPECT_NE(sim::campaignKey(mod2, opts, ucfg, true), base);
-    EXPECT_NE(sim::campaignKey(mod, compiler::Options::hand(), ucfg, true),
-              base);
-    EXPECT_NE(sim::campaignKey(mod, opts, uarch::UarchConfig::tinyMemory(),
-                               true),
-              base);
-    EXPECT_NE(sim::campaignKey(mod, opts, ucfg, false), base);
-}
-
 TEST(Campaign, CorruptOrStaleEntriesAreMissesNeverTrusted)
 {
     std::string dir = testing::TempDir() + "/campaign_corrupt_test";
@@ -486,8 +467,9 @@ TEST(Campaign, DisabledCacheIsPassThrough)
 }
 
 // ---------------------------------------------------------------------
-// Result schema: every result struct lists its fields once
-// (support/fields.hh); serialization and comparison walk that list.
+// Result and config schemas: every result and config struct lists its
+// fields once (support/fields.hh); serialization, the campaign key and
+// comparison walk that list.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -510,6 +492,15 @@ forEachLeaf(T &x, const std::string &path, F &f)
     }
 }
 
+u64
+pathHash(const std::string &path)
+{
+    u64 h = 0xcbf29ce484222325ULL;
+    for (char c : path)
+        h = (h ^ static_cast<u8>(c)) * 0x100000001b3ULL;
+    return h;
+}
+
 /** Give every leaf of @p x a distinct non-zero value (bools: true)
  *  hashed from its path, so reordering a list changes the bytes. */
 template <class T>
@@ -518,15 +509,49 @@ canonical(T x)
 {
     auto fill = [](const std::string &path, auto &leaf) {
         using L = std::remove_reference_t<decltype(leaf)>;
-        u64 h = 0xcbf29ce484222325ULL;
-        for (char c : path)
-            h = (h ^ static_cast<u8>(c)) * 0x100000001b3ULL;
+        const u64 h = pathHash(path);
         if constexpr (std::is_floating_point_v<L>)
             leaf = static_cast<L>(h >> 20) + 0.25;
         else
             leaf = static_cast<L>(h >> 2 | 1);
     };
     forEachLeaf(x, "", fill);
+    return x;
+}
+
+/** canonical(@p x), but each bool takes the low bit of its path hash,
+ *  so Options' adjacent bools differ and swapping them moves bytes. */
+template <class T>
+T
+distinctLeaves(T x)
+{
+    auto fill = [](const std::string &path, auto &leaf) {
+        if constexpr (std::is_same_v<std::remove_reference_t<
+                                         decltype(leaf)>, bool>)
+            leaf = pathHash(path) & 1;
+    };
+    x = canonical(x);
+    forEachLeaf(x, "", fill);
+    return x;
+}
+
+/** @p x with its @p k-th leaf (forEachField order) changed: a bool
+ *  toggled, a number incremented. */
+template <class T>
+T
+bumped(T x, size_t k)
+{
+    size_t i = 0;
+    auto bump = [&](const std::string &, auto &leaf) {
+        if (i++ != k)
+            return;
+        if constexpr (std::is_same_v<std::remove_reference_t<
+                                         decltype(leaf)>, bool>)
+            leaf = !leaf;
+        else
+            leaf += 1;
+    };
+    forEachLeaf(x, "", bump);
     return x;
 }
 
@@ -595,18 +620,18 @@ listedMembers(const T &x)
 
 /**
  * The walkers agree with operator== on @p shape: every member of an
- * aggregate is listed, changing any one
+ * aggregate but exactly @p unlisted is listed, changing any one
  * leaf of the canonical object breaks ==, and firstDifference names
  * exactly that leaf; putFields/getFields round-trip to an == object.
  */
 template <class T>
 void
-expectWalkersMatchEquality(const T &shape)
+expectWalkersMatchEquality(const T &shape, size_t unlisted = 0)
 {
     const T canon = canonical(shape);
     if constexpr (std::is_aggregate_v<T>) {
-        EXPECT_EQ(listedMembers(canon), memberCount<T>())
-            << "a member is missing from forEachField";
+        EXPECT_EQ(listedMembers(canon) + unlisted, memberCount<T>())
+            << "forEachField lists a member too many or too few";
     }
     const auto paths = leafPaths(canon);
     ASSERT_FALSE(paths.empty());
@@ -615,18 +640,7 @@ expectWalkersMatchEquality(const T &shape)
     EXPECT_EQ(firstDifference(canon, canon), "");
 
     for (size_t k = 0; k < paths.size(); ++k) {
-        T changed = canon;
-        size_t i = 0;
-        auto bump = [&](const std::string &, auto &leaf) {
-            if (i++ != k)
-                return;
-            if constexpr (std::is_same_v<std::remove_reference_t<
-                                             decltype(leaf)>, bool>)
-                leaf = !leaf;
-            else
-                leaf += 1;
-        };
-        forEachLeaf(changed, "", bump);
+        const T changed = bumped(canon, k);
         EXPECT_FALSE(changed == canon) << paths[k];
         std::string d = firstDifference(changed, canon);
         EXPECT_EQ(d.substr(0, paths[k].size() + 2), paths[k] + ": ") << d;
@@ -787,4 +801,130 @@ TEST(ResultSchema, CheckpointStatsLayoutIsPinnedAndRoundTrips)
     EXPECT_EQ(back.nextBlock, ck.nextBlock);
     EXPECT_EQ(back.blocksExecuted, ck.blocksExecuted);
     EXPECT_EQ(back.callStack, ck.callStack);
+}
+
+TEST(ConfigSchema, WalkersMatchEqualityOnEveryConfig)
+{
+    {
+        // verifyTil and tilDump are the two unlisted debug hooks.
+        SCOPED_TRACE("Options");
+        expectWalkersMatchEquality(compiler::Options(), 2);
+    }
+    {
+        SCOPED_TRACE("CacheConfig");
+        expectWalkersMatchEquality(mem::CacheConfig());
+    }
+    {
+        SCOPED_TRACE("DramConfig");
+        expectWalkersMatchEquality(mem::DramConfig());
+    }
+    {
+        SCOPED_TRACE("NextBlockConfig");
+        expectWalkersMatchEquality(pred::NextBlockConfig());
+    }
+    {
+        SCOPED_TRACE("UarchConfig");
+        expectWalkersMatchEquality(uarch::UarchConfig());
+    }
+}
+
+TEST(Campaign, KeySeparatesEveryInputDimension)
+{
+    wir::Module mod = harness::generate(7, harness::ShapeConfig{});
+    const auto opts = compiler::Options::compiled();
+    const uarch::UarchConfig ucfg;
+    const auto base = sim::campaignKey(mod, opts, ucfg, true);
+
+    // Stable for identical inputs.
+    EXPECT_EQ(sim::campaignKey(mod, opts, ucfg, true), base);
+
+    // Distinct per module and model level.
+    wir::Module mod2 = harness::generate(8, harness::ShapeConfig{});
+    EXPECT_NE(sim::campaignKey(mod2, opts, ucfg, true), base);
+    EXPECT_NE(sim::campaignKey(mod, opts, ucfg, false), base);
+
+    // Distinct per listed knob of either config, one at a time.
+    const auto optPaths = leafPaths(opts);
+    for (size_t k = 0; k < optPaths.size(); ++k)
+        EXPECT_NE(sim::campaignKey(mod, bumped(opts, k), ucfg, true), base)
+            << optPaths[k];
+    const auto cfgPaths = leafPaths(ucfg);
+    for (size_t k = 0; k < cfgPaths.size(); ++k)
+        EXPECT_NE(sim::campaignKey(mod, opts, bumped(ucfg, k), true), base)
+            << cfgPaths[k];
+
+    // The debug hooks never split the key space.
+    auto verify = opts;
+    verify.verifyTil = !verify.verifyTil;
+    EXPECT_EQ(sim::campaignKey(mod, verify, ucfg, true), base);
+    std::ostringstream sink;
+    auto dump = opts;
+    dump.tilDump = &sink;
+    EXPECT_EQ(sim::campaignKey(mod, dump, ucfg, true), base);
+}
+
+// Campaign keys are the config lists' putFields bytes. These pins were
+// produced by the hand-written key serializers the lists replaced: a
+// changed list is a key change, which needs a CAMPAIGN_FORMAT bump and
+// a re-pin here (SIM_VERSION is key material too).
+TEST(ConfigSchema, CampaignKeyBytesArePinned)
+{
+    ASSERT_STREQ(sim::SIM_VERSION, "tripsim-sim-3")
+        << "SIM_VERSION bumped: re-pin the keys below";
+    const wir::Module mod = harness::generate(7, harness::ShapeConfig{});
+    const std::pair<const char *, compiler::Options> optsPresets[] = {
+        {"compiled", compiler::Options::compiled()},
+        {"hand", compiler::Options::hand()},
+        {"basicBlock", compiler::Options::basicBlock()},
+    };
+    const std::pair<const char *, uarch::UarchConfig> cfgPresets[] = {
+        {"prototype", uarch::UarchConfig::prototype()},
+        {"smallWindow", uarch::UarchConfig::smallWindow()},
+        {"narrowIssue", uarch::UarchConfig::narrowIssue()},
+        {"tinyMemory", uarch::UarchConfig::tinyMemory()},
+    };
+    // (opts, config, cycle-level) in loop order.
+    const char *const pins[] = {
+        "7ea82b46ea198bcfaa1041624e4471f5",
+        "7ea82a46ea19821caa1040624e447042",
+        "eaa07f0be748fe174354ad97159d78db",
+        "eaa0800be74f08404354ac97159d7728",
+        "4ea15e835bc970cb61e5b97438d2dcbc",
+        "4ea15f835bc97a7c61e5ba7438d2de6f",
+        "7bfc31e517cb739e7b86062f0e8210fe",
+        "7bfc32e517cb696d7b86072f0e8212b1",
+        "f9d770bb6a4f3924454d10a798ff4b76",
+        "f9d76fbb6a4fc6eb454d11a798ff4d29",
+        "a778935155a1601d5e1a52a961049934",
+        "a778945155a15ed25e1a53a961049ae7",
+        "514e41130e8507e435bc27c2fc9d054b",
+        "514e42130e85019735bc26c2fc9d0398",
+        "6f18bf2ed8e2a0423ea9e8fe1a68455d",
+        "6f18be2ed8e2a6113ea9e7fe1a6843aa",
+        "d3bf4e5bc448701024474e40494f2cbe",
+        "d3bf4f5bc4487e4724474f40494f2e71",
+        "414326f6fa7a9efa247dd3b866ff10ac",
+        "414325f6fa7a880d247dd4b866ff125f",
+        "b78f5c4e83777bb7a98eb0f0bbbd19f3",
+        "b78f5d4e837771f8a98eaff0bbbd1840",
+        "ee3f5efc648155c0e25bea21321b2e65",
+        "ee3f5ffc64815c13e25be921321b2cb2",
+    };
+    size_t i = 0;
+    for (const auto &[oname, opts] : optsPresets) {
+        for (const auto &[cname, cfg] : cfgPresets) {
+            for (bool cycle : {false, true}) {
+                EXPECT_EQ(sim::campaignKey(mod, opts, cfg, cycle).hex(),
+                          pins[i++])
+                    << oname << " x " << cname << " cycle=" << cycle;
+            }
+        }
+    }
+
+    // Every leaf distinct, bools included: a reordered list or a
+    // changed width cannot reproduce these bytes.
+    EXPECT_EQ(sim::campaignKey(mod, distinctLeaves(compiler::Options()),
+                               distinctLeaves(uarch::UarchConfig()), true)
+                  .hex(),
+              "1d383818a1a8975beedff017c4e048c4");
 }

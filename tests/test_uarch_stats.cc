@@ -549,6 +549,30 @@ TEST(UarchConfigs, ValidationRejectsStructurallyImpossibleConfigs)
     EXPECT_NE(bad([](auto &c) { c.maxCycles = 0; }), "");
     EXPECT_NE(bad([](auto &c) { c.l1dBank.lineBytes = 48; }), "");
     EXPECT_NE(bad([](auto &c) { c.l2Bank.sizeBytes = 1000; }), "");
+    // DRAM shapes CycleSim divides by (channel/bank interleave, line).
+    EXPECT_NE(bad([](auto &c) { c.dram.channels = 0; }), "");
+    EXPECT_NE(bad([](auto &c) { c.dram.banksPerChannel = 0; }), "");
+    EXPECT_NE(bad([](auto &c) { c.dram.lineBytes = 0; }), "");
+    // Predictor tables indexed through a power-of-two mask, and the
+    // return stack the predictor wraps modulo its depth.
+    EXPECT_NE(bad([](auto &c) { c.predictor.localEntries = 0; }), "");
+    EXPECT_NE(bad([](auto &c) { c.predictor.localPatternEntries = 0; }),
+              "");
+    EXPECT_NE(bad([](auto &c) { c.predictor.globalEntries = 3000; }), "");
+    EXPECT_NE(bad([](auto &c) { c.predictor.choiceEntries = 0; }), "");
+    EXPECT_NE(bad([](auto &c) { c.predictor.btbEntries = 100; }), "");
+    EXPECT_NE(bad([](auto &c) { c.predictor.ctbEntries = 0; }), "");
+    EXPECT_NE(bad([](auto &c) { c.predictor.btypeEntries = 0; }), "");
+    EXPECT_NE(bad([](auto &c) { c.predictor.rasEntries = 0; }), "");
+    EXPECT_EQ(bad([](auto &c) {
+                  c.predictor = pred::NextBlockConfig::improved();
+              }),
+              "");
+    for (const auto &preset :
+         {uarch::UarchConfig::prototype(), uarch::UarchConfig::smallWindow(),
+          uarch::UarchConfig::narrowIssue(),
+          uarch::UarchConfig::tinyMemory()})
+        EXPECT_EQ(preset.validate(), "");
 }
 
 TEST(UarchConfigs, InvalidConfigAndLsqOverflowThrowStructuredErrors)
@@ -586,6 +610,14 @@ TEST(UarchConfigs, InvalidConfigAndLsqOverflowThrowStructuredErrors)
     uarch::UarchConfig badCache;
     badCache.l1dBank.assoc = 0;
     EXPECT_EQ(errCode(badCache), ErrCode::InvalidConfig);
+    // Without the DRAM and predictor checks these died of SIGFPE and
+    // SIGSEGV mid-run.
+    uarch::UarchConfig badDram;
+    badDram.dram.channels = 0;
+    EXPECT_EQ(errCode(badDram), ErrCode::InvalidConfig);
+    uarch::UarchConfig badTables;
+    badTables.predictor.localEntries = 0;
+    EXPECT_EQ(errCode(badTables), ErrCode::InvalidConfig);
 
     // A 1-entry LSQ cannot hold this program's memory blocks: the
     // *program* exceeds a capacity, classified ResourceExhausted.
